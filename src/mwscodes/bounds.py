@@ -1,11 +1,11 @@
 """Bound formulas for shortest MWS / QM code lengths.
 
 Everything that feeds a pass/fail comparison is exact: length bounds use
-integer ceilings and the random-coding threshold uses arbitrary-precision
-rationals.  Real-valued quantities (entropy, the two GV-type length factors)
-are returned as floats; the factor lambda_q is evaluated in high-precision
-arithmetic internally because 1 - h_q((q-2)/(q-1)) underflows double
-precision already around q = 10^4.
+integer ceilings, and the random-coding threshold scan compares big integers
+at every step, with no float path.  Real-valued quantities (entropy, the two
+GV-type length factors) are returned as floats; the factor lambda_q is
+evaluated in high-precision arithmetic internally because
+1 - h_q((q-2)/(q-1)) underflows double precision already around q = 10^4.
 """
 
 from __future__ import annotations
@@ -108,58 +108,48 @@ def eqbound_value(q: int, k: int, n: int) -> Fraction:
     return Fraction(q ** (2 * k) * binom_sq_sum(n, q), q ** (2 * n))
 
 
-def _log_binom_sq_sum(n: int, q: int) -> float:
-    """ln of binom_sq_sum(n, q) in floats.
+def _binom_sq_sums(q: int, n: int):
+    """Yield binom_sq_sum(m, q) for m = n, n+1, ... exactly.
 
-    The squared terms form a sharply peaked sequence of width O(sqrt(n)), so
-    summing relative to the peak converges after a few hundred terms and
-    keeps the relative error near machine precision.
+    With x = (q-1)^2 the sums obey the three-term recurrence
+    (m+1) S_{m+1} = (2m+1)(1+x) S_m - m(1-x)^2 S_{m-1}, so each step costs a
+    few big-integer products instead of a fresh sum.  The division by m+1 is
+    exact; a nonzero remainder means the recurrence was broken and raises.
     """
-    if n == 0:
-        return 0.0
-    w_max, _ = max_term(n, q)
-    lq1 = math.log(q - 1) if q > 2 else 0.0
-
-    def log_term(w):
-        return (
-            math.lgamma(n + 1) - math.lgamma(w + 1) - math.lgamma(n - w + 1) + w * lq1
-        )
-
-    peak = log_term(w_max)
-    total = 0.0
-    for direction in (-1, 1):
-        w = w_max if direction == 1 else w_max - 1
-        while 0 <= w <= n:
-            rel = math.exp(2.0 * (log_term(w) - peak))
-            total += rel
-            if rel < 1e-22:
-                break
-            w += direction
-    return 2.0 * peak + math.log(total)
+    x = (q - 1) ** 2
+    a, b = 1 + x, (1 - x) ** 2
+    prev, cur = (binom_sq_sum(n - 1, q) if n else 0), binom_sq_sum(n, q)
+    while True:
+        yield cur
+        nxt, rem = divmod((2 * n + 1) * a * cur - n * b * prev, n + 1)
+        if rem:
+            raise ArithmeticError(f"S_{n + 1} recurrence left remainder {rem} (q={q})")
+        prev, cur = cur, nxt
+        n += 1
 
 
 def eqbound_min_n(q: int, k: int, max_n: int | None = None) -> int | None:
-    """Smallest n with eqbound_value(q, k, n) < 2 (q-1)^2.
+    """Smallest n >= max(k, 1) with eqbound_value(q, k, n) < 2 (q-1)^2.
 
-    Scans n upward from k.  A float evaluation of the left side (accurate to
-    ~1e-9 in the log) settles each comparison when the margin allows; only
-    near-boundary n fall back to the exact rational, so the verdict is always
-    the exact one.  The left side eventually decays like 1/sqrt(n), so the
-    scan terminates; max_n caps it for large (q, k) cells, returning None
-    when the threshold was not reached within the cap.
+    Scans n upward from max(k, 1), carrying S_n = binom_sq_sum(n, q) by its
+    recurrence and q^{2n} as a running product, and settles each n with one
+    integer comparison q^{2k} S_n < 2 (q-1)^2 q^{2n}; no step is rounded.
+    The left side eventually decays like 1/sqrt(n), so the scan terminates,
+    but for large (q, k) only after very many steps: max_n caps it, and None
+    means the threshold was not reached by max_n.  The first n is always
+    tested, even when it exceeds max_n.
     """
     threshold = 2 * (q - 1) ** 2
-    log_threshold = math.log(threshold)
-    lq = math.log(q)
+    scale = q ** (2 * k)
     n = max(k, 1)
-    while True:
-        log_lhs = (2 * k - 2 * n) * lq + _log_binom_sq_sum(n, q)
-        delta = log_lhs - log_threshold
-        if delta < -1e-6 or (abs(delta) <= 1e-6 and eqbound_value(q, k, n) < threshold):
+    q_2n = q ** (2 * n)
+    for s in _binom_sq_sums(q, n):
+        if scale * s < threshold * q_2n:
             return n
-        n += 1
-        if max_n is not None and n > max_n:
+        if max_n is not None and n >= max_n:
             return None
+        n += 1
+        q_2n *= q * q
 
 
 @dataclass(frozen=True)
@@ -194,8 +184,9 @@ def bounds_report(q: int, k: int, eqbound_cap: int = 2000) -> BoundsReport:
     """Assemble every bound for one (q, k) cell.
 
     eqbound_cap limits the exact threshold scan; cells whose threshold lies
-    beyond the cap report None there.  The D_q figure is an asymptotic
-    estimate only and never feeds a comparison.
+    beyond the cap report None there.  The cap stays because thresholds grow
+    like q^{4k+2}: (9, 4) lies near n = 9e10, beyond any exact scan.  The
+    D_q figure is an asymptotic estimate only and never feeds a comparison.
     """
     lam = lambda_q(q)
     mu = mu_q(q)

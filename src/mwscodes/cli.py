@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import secrets
 import sys
 
 from . import bounds as bounds_mod
@@ -59,6 +58,8 @@ def _parse_int_list(text: str) -> list[int]:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
+    import secrets  # only runs without --seed need it; importing it costs memory
+
     seed = secrets.randbits(32)
     _diag(f"no --seed given; using random seed {seed} (logged in the payload)")
     return seed
@@ -139,6 +140,8 @@ def cmd_search(args) -> int:
     if args.n is None:
         raise ValueError("--n is required unless --gv is given")
     n_values = _parse_int_list(args.n)
+    if set(n_values) != set(range(min(n_values), max(n_values) + 1)):
+        raise ValueError(f"--n {args.n!r} is not a contiguous range of lengths")
     seed = _resolve_seed(args) if args.mode == "random" else (args.seed or 0)
     config = SearchConfig(
         q=args.q,

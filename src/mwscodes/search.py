@@ -14,8 +14,8 @@ is definitive while the space shrinks from q^{kn} to q^{k(n-k)}.
 from __future__ import annotations
 
 import math
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +33,22 @@ from .gf import build_field
 from .matrixio import dumps_code, loads_code
 
 DEFAULT_SPACE_GUARD = 2**30
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported on first use (PEP 562): it loads
+    # multiprocessing, which only runs with workers > 1 need.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _process_pool(workers: int):
+    """A pool of `workers` processes.  The class is read as this module's
+    attribute, so a ProcessPoolExecutor set on the module replaces it."""
+    return sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
 
 
 class SearchSpaceTooLargeError(RuntimeError):
@@ -142,7 +158,7 @@ def _run_chunks(worker, tasks, workers: int):
             if res[0] is not None:
                 break
         return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _process_pool(workers) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -291,7 +307,8 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0, workers: i
     }
     if found:
         t, code, path = found
-        assert is_qm(code)
+        if not is_qm(code):
+            raise AssertionError("witness failed re-verification")
         report.update(
             {
                 "witness_trial": t,
@@ -369,7 +386,7 @@ def estimate_expectation(
     if workers <= 1 or len(tasks) <= 1:
         results = [_expectation_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             results = list(pool.map(_expectation_chunk, tasks))
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)

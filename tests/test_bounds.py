@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -17,6 +18,7 @@ from mwscodes import (
     mu_q,
     mws_lower_bound,
 )
+from mwscodes.bounds import _binom_sq_sums
 
 
 # -- entropy ------------------------------------------------------------------
@@ -127,6 +129,53 @@ def test_eqbound_growth():
 
 def test_eqbound_cap_returns_none():
     assert eqbound_min_n(5, 3, max_n=50) is None
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_recurrence_matches_binom_sq_sum(q):
+    assert list(islice(_binom_sq_sums(q, 0), 80)) == [binom_sq_sum(n, q) for n in range(80)]
+    assert list(islice(_binom_sq_sums(q, 37), 5)) == [binom_sq_sum(n, q) for n in range(37, 42)]
+
+
+def test_recurrence_raises_on_inexact_division(monkeypatch):
+    import mwscodes.bounds as bounds_mod
+
+    true_sum = bounds_mod.binom_sq_sum
+    monkeypatch.setattr(bounds_mod, "binom_sq_sum", lambda n, q: true_sum(n, q) + (n == 0))
+    with pytest.raises(ArithmeticError):
+        list(islice(_binom_sq_sums(3, 1), 3))
+
+
+def eqbound_min_n_scan_oracle(q, k, max_n):
+    """Linear scan with the exact rational, testing n = max(k, 1) even past
+    max_n, as eqbound_min_n does."""
+    n = max(k, 1)
+    while True:
+        if eqbound_value(q, k, n) < 2 * (q - 1) ** 2:
+            return n
+        n += 1
+        if n > max_n:
+            return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
+def test_eqbound_min_n_matches_scan_oracle(q):
+    for k in range(5):
+        for cap in (0, 1, 2, 5, 20, 21, 60):
+            assert eqbound_min_n(q, k, max_n=cap) == eqbound_min_n_scan_oracle(q, k, cap)
+
+
+@pytest.mark.parametrize("q, k, n", [
+    (2, 3, 326), (3, 2, 37), (4, 2, 86), (5, 2, 190), (7, 2, 723), (8, 2, 1272),
+])
+def test_eqbound_min_n_pinned(q, k, n):
+    assert eqbound_min_n(q, k) == n
+
+
+@pytest.mark.parametrize("q, k", [(2, 4), (3, 3), (9, 2)])
+def test_eqbound_none_at_report_cap(q, k):
+    assert eqbound_min_n(q, k, max_n=2000) is None
+    assert bounds_report(q, k).eqbound_min_n is None
 
 
 # -- the maximal term ---------------------------------------------------------

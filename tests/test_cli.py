@@ -103,6 +103,17 @@ def test_search_exhaustive_ternary(capsys):
     validate(payload, "search_report.schema.json")
 
 
+def test_search_n_list_must_be_contiguous(capsys):
+    status, payload = run(capsys, "search", "--q", "3", "--k", "2", "--target", "mws",
+                          "--mode", "exhaustive", "--n", "5,9")
+    assert status == 2
+    assert payload["error"] == "ValueError"
+    status, payload = run(capsys, "search", "--q", "3", "--k", "2", "--target", "mws",
+                          "--mode", "exhaustive", "--n", "5,6")
+    assert status == 0
+    assert [e["n"] for e in payload["lengths"]] == [5, 6]
+
+
 def test_search_exhaustive_binary(capsys):
     status, payload = run(capsys, "search", "--q", "2", "--k", "2", "--target", "mws",
                           "--mode", "exhaustive", "--n", "2..3")

@@ -1,5 +1,7 @@
 """Search machinery: determinism, exhaustive verdicts, Monte-Carlo estimates."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,15 @@ def test_gv_qm_search_ternary():
     assert report["n"] == 38
     assert report["found"] is True
     assert is_qm(loads_code(report["witness"]["matrix"]))
+
+
+def test_gv_qm_search_raises_when_witness_fails_recheck(monkeypatch):
+    # at q = 2 the d/n condition accepts first, so only the final re-check
+    # calls is_qm; the raise must not depend on assert statements (python -O)
+    search_mod = importlib.import_module("mwscodes.search")  # the package re-exports search()
+    monkeypatch.setattr(search_mod, "is_qm", lambda code: False)
+    with pytest.raises(AssertionError, match="re-verification"):
+        gv_qm_search(2, 4, trials=50, seed=0)
 
 
 # -- estimate_expectation -----------------------------------------------------
