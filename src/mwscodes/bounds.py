@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
-import mpmath
-
 
 def entropy_q(q: int, x: float) -> float:
     """The q-ary entropy -x log_q x - (1-x) log_q(1-x) + x log_q(q-1).
@@ -45,6 +43,8 @@ def lambda_q(q: int) -> float:
         raise ValueError("q must be >= 2")
     if q == 2:
         return 1.0
+    import mpmath  # imported here: only bounds and the GV search need it
+
     with mpmath.workdps(60):
         x = mpmath.mpf(q - 2) / (q - 1)
         lq = mpmath.log(q)

@@ -7,6 +7,7 @@ tool composes in pipelines.  Exit statuses:
     1  a requested verification predicate returned false
     2  invalid input
     3  a resource guard tripped
+    4  internal error (a bug: an unexpected exception)
 
 Subcommands: construct, verify, search, montecarlo, bounds, field-info.
 """
@@ -14,10 +15,12 @@ Subcommands: construct, verify, search, montecarlo, bounds, field-info.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
+import traceback
 
 from . import bounds as bounds_mod
 from . import constructions
@@ -36,10 +39,28 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
+
+
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift Python's limit on int-to-str digits (3.10.7+) while a payload is
+    written: bounds cells carry 2**gv_qm_length, which for q >= 11 has more
+    than the default 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield  # older interpreters have no limit
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=str)
+    with _unlimited_int_str():
+        json.dump(payload, sys.stdout, indent=2, default=str)
     sys.stdout.write("\n")
 
 
@@ -134,7 +155,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     if args.gv:
         seed = _resolve_seed(args)
-        report = gv_qm_search(args.q, args.k, trials=args.trials, seed=seed, workers=args.workers)
+        report = gv_qm_search(args.q, args.k, trials=args.trials, seed=seed)
         _emit(report)
         return EXIT_OK
     if args.n is None:
@@ -189,7 +210,8 @@ def cmd_bounds(args) -> int:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(reports[0].keys()))
         writer.writeheader()
-        writer.writerows(reports)
+        with _unlimited_int_str():
+            writer.writerows(reports)
         sys.stdout.write(buf.getvalue())
     return EXIT_OK
 
@@ -235,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=["random", "exhaustive"], default="random")
     s.add_argument("--trials", type=int, default=10_000)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="worker processes for random and exhaustive search; --gv runs serially")
     s.add_argument("--gv", action="store_true",
                    help="QM search at the GV-type length ceil(k*lambda_q)")
     s.add_argument("--witness-out", default=None)
@@ -281,6 +304,11 @@ def main(argv=None) -> int:
         _diag(f"resource guard tripped: {exc}")
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_GUARD
+    except Exception as exc:
+        _diag(f"internal error: {exc!r}")
+        traceback.print_exc(file=sys.stderr)
+        _emit({"error": type(exc).__name__, "detail": str(exc)})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

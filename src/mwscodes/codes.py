@@ -174,16 +174,18 @@ def codeword(code: LinearCode, message) -> tuple[int, ...]:
 
 
 def codeword_matrix(code: LinearCode, messages: np.ndarray) -> np.ndarray:
-    """Encode a batch of messages (rows) at once via the field tables."""
+    """Encode a batch of messages (rows) at once.  Multiplying by a generator
+    entry g is GF(p)-linear on base-p digits, so the code is one (k m) x (n m)
+    matrix over GF(p) with the digits of g x^r as blocks; each output digit
+    sums k m digit products, far inside int64."""
     fld = code.field
-    if fld.add_table is None:
-        return np.array([codeword(code, tuple(m)) for m in messages], dtype=np.int64)
+    p, m = fld.p, fld.m
     gen = np.array(code.generator, dtype=np.int64)
-    acc = np.zeros((messages.shape[0], code.n), dtype=np.int64)
-    for i in range(code.k):
-        term = fld.mul_table[messages[:, i][:, None], gen[i][None, :]]
-        acc = fld.add_table[acc, term]
-    return acc
+    k, n = gen.shape
+    lin = fld.digits(fld.mul_array(gen[:, :, None], fld.x_powers))
+    lin = lin.transpose(0, 2, 1, 3).reshape(k * m, n * m)
+    words = fld.digits(messages).reshape(len(messages), k * m) @ lin % p
+    return words.reshape(len(messages), n, m) @ fld.x_powers
 
 
 def support(word) -> frozenset[int]:

@@ -8,19 +8,18 @@ identity.  For prime fields (m = 1) this is ordinary arithmetic mod p.
 The reducing modulus is always the lexicographically smallest monic
 irreducible polynomial of degree m over GF(p), coefficients compared from the
 constant term upward.  This makes every field construction deterministic and
-reproducible.
+reproducible.  The modulus need not be primitive (GF(9) uses x^2 + 1, and x
+has order 4), so arithmetic runs on log/exp/Zech tables of the smallest
+primitive element instead (Lidl & Niederreiter, Finite Fields, ch. 2): the
+same O(1) lookups and an O(q) build for every q.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-
-# Full q x q add/mul tables are kept below this order.  A 2^16 x 2^16 table
-# would need tens of gigabytes; above the limit we fall back to direct
-# polynomial arithmetic.
-TABLE_LIMIT = 256
 
 
 class NotPrimePowerError(ValueError):
@@ -31,26 +30,13 @@ def _prime_power_decomposition(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, p prime, or raise NotPrimePowerError."""
     if q < 2:
         raise NotPrimePowerError(f"field order must be >= 2, got {q}")
-    n = q
-    p = None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            p = d
-            while n % d == 0:
-                n //= d
-            break
-        d += 1
-    if p is None:
-        p = q  # q itself is prime
-        n = 1
-    if n != 1:
-        raise NotPrimePowerError(f"{q} is not a prime power")
-    m = 0
-    n = q
-    while n > 1:
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    n, m = q, 0
+    while n % p == 0:
         n //= p
         m += 1
+    if n != 1:
+        raise NotPrimePowerError(f"{q} is not a prime power")
     return p, m
 
 
@@ -102,7 +88,11 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class GF:
-    """The finite field GF(p^m) with table-driven arithmetic for small q.
+    """The finite field GF(p^m).
+
+    With g the smallest primitive element, the tables are exp[i] = g^i (stored
+    twice over, so a sum of two logs needs no modulo), log (log[0] = -1 marks
+    zero) and the Zech logarithms zech[i] = log(1 + g^i), -1 where 1 + g^i = 0.
 
     Instances are immutable after construction; all operations are pure and
     safe for unrestricted concurrent use.  Obtain instances via build_field().
@@ -117,11 +107,9 @@ class GF:
             raise ValueError("modulus must be monic of degree m")
         if not _is_irreducible(list(modulus), p):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.add_table: np.ndarray | None = None
-        self.mul_table: np.ndarray | None = None
-        self.inv_table: np.ndarray | None = None
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
+        # The elements x^r are the integers p^r, which are also the digit weights.
+        self.x_powers = p ** np.arange(m, dtype=np.int64)
+        self._build_log_tables()
 
     # -- encoding -------------------------------------------------------------
 
@@ -132,31 +120,55 @@ class GF:
     def _encode(self, c: list[int]) -> int:
         return sum(ci * self.p**i for i, ci in enumerate(c))
 
+    def digits(self, a: np.ndarray) -> np.ndarray:
+        """Base-p digits of an array of elements, on a new last axis of size m."""
+        return np.asarray(a)[..., None] // self.x_powers % self.p
+
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        return self._add_direct(a, b)
-
-    def _add_direct(self, a: int, b: int) -> int:
-        p = self.p
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self._encode([(x + y) % p for x, y in zip(ca, cb)])
+        if a == 0 or b == 0:
+            return a or b
+        # a + b = a (1 + b/a); a negative index wraps to the same residue.
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        return self._encode([(-x) % p for x in self.coeffs(a)])
+        return self._exp[self._log[a] + self._log_minus_one] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        return self._mul_direct(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
-    def _mul_direct(self, a: int, b: int) -> int:
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            return 1 if e == 0 else 0
+        return self._exp[self._log[a] * e % (self.q - 1)]
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise product of two broadcastable arrays of elements."""
+        la, lb = self.log[a], self.log[b]
+        return np.where((la < 0) | (lb < 0), 0, self.exp[la + lb])
+
+    def elements(self) -> list[int]:
+        """All q elements in index order, starting at 0."""
+        return list(range(self.q))
+
+    # -- tables ---------------------------------------------------------------
+
+    def _mul_poly(self, a: int, b: int) -> int:
+        """Product by polynomial multiplication mod the modulus: the table
+        build's primitive and the reference the tables are tested against."""
         p = self.p
         ca, cb = self.coeffs(a), self.coeffs(b)
         prod = [0] * (2 * self.m - 1)
@@ -168,51 +180,33 @@ class GF:
         rem += [0] * (self.m - len(rem))
         return self._encode(rem)
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        return self.pow(a, self.q - 2)
+    def _powers(self, g: int) -> np.ndarray:
+        """g^0 .. g^(q-2) by doubling: multiplying the block of powers so far
+        by g^len(block) is one GF(p)-linear map on their digits."""
+        powers, step = np.ones(1, dtype=np.int64), g
+        while len(powers) < self.q - 1:
+            lin = self.digits([self._mul_poly(step, int(x)) for x in self.x_powers])
+            powers = np.concatenate([powers, self.digits(powers) @ lin % self.p @ self.x_powers])
+            step = self._mul_poly(step, step)
+        return powers[: self.q - 1]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 1 if e == 0 else 0
-        e %= self.q - 1
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def elements(self) -> list[int]:
-        """All q elements in index order, starting at 0."""
-        return list(range(self.q))
-
-    # -- tables ---------------------------------------------------------------
-
-    def _build_tables(self) -> None:
-        q = self.q
-        add = np.empty((q, q), dtype=np.int64)
-        mul = np.empty((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                s = self._add_direct(a, b)
-                add[a, b] = add[b, a] = s
-                t = self._mul_direct(a, b)
-                mul[a, b] = mul[b, a] = t
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            hits = np.flatnonzero(mul[a] == 1)
-            if hits.size != 1:
-                raise RuntimeError(f"element {a} lacks a unique inverse")
-            inv[a] = hits[0]
-        self.add_table = add
-        self.mul_table = mul
-        self.inv_table = inv
+    def _build_log_tables(self) -> None:
+        q, p = self.q, self.p
+        for g in range(1, q):
+            powers = self._powers(g)
+            if 1 not in powers[1:]:  # g has order q - 1: it is primitive
+                break
+        exp = np.concatenate([powers, powers])
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
+        # 1 + y only bumps y's constant digit; log[0] = -1 marks 1 + g^i = 0.
+        y = exp[: q - 1]
+        zech = log[y - y % p + (y % p + 1) % p]
+        exp.flags.writeable = log.flags.writeable = zech.flags.writeable = False
+        self.exp, self.log, self.zech = exp, log, zech
+        # The scalar methods index tuples, several times faster than numpy.
+        self._exp, self._log, self._zech = (tuple(a.tolist()) for a in (exp, log, zech))
+        self._log_minus_one = self._log[p - 1]
 
     # -- misc -----------------------------------------------------------------
 

@@ -277,7 +277,7 @@ def _search_exhaustive_length(config: SearchConfig, n: int) -> dict:
 
 # -- GV-style QM search -------------------------------------------------------
 
-def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0, workers: int = 1) -> dict:
+def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
     """Random search for a QM code at the GV-type length n = ceil(k lambda_q).
 
     Acceptance tries the cheap d/N sufficient condition first and falls back

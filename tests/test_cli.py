@@ -1,12 +1,14 @@
 """CLI behavior: exit statuses, JSON payloads, schema validation, round trips."""
 
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from mwscodes import is_mws, load_code, loads_code
+from mwscodes import cli
 from mwscodes.cli import main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
@@ -184,6 +186,30 @@ def test_bounds_rejects_non_prime_power(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bounds_prints_integers_past_the_str_digit_limit(capsys, fmt):
+    # at q = 16, k = 1, 2**gv_qm_length has about 5750 digits, more than
+    # Python's default int-to-str limit of 4300
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    status = main(["bounds", "--q", "16", "--k", "1", "--format", fmt])
+    out = capsys.readouterr().out
+    assert status == 0
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored after writing
+    with cli._unlimited_int_str():
+        if fmt == "json":
+            payload = json.loads(out)
+            cell = payload["cells"][0]
+        else:
+            header, row = out.strip().splitlines()
+            cell = {key: int(val) for key, val in zip(header.split(","), row.split(","))
+                    if key in ("gv_qm_length", "embedded_length_gv")}
+        assert len(str(cell["embedded_length_gv"])) > 4300
+    assert cell["embedded_length_gv"] == 2 ** cell["gv_qm_length"]
+    if fmt == "json":
+        validate(payload, "bounds_report.schema.json")
+
+
 def test_bounds_csv(capsys):
     status = main(["bounds", "--q", "2", "--k", "2..3", "--format", "csv"])
     out = capsys.readouterr().out
@@ -191,6 +217,21 @@ def test_bounds_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("q,k,lower_bound_length")
     assert len(lines) == 3
+
+
+# -- internal errors ----------------------------------------------------------
+
+def test_internal_error_has_its_own_exit_status(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("witness failed re-verification")
+
+    monkeypatch.setattr(cli, "gv_qm_search", broken)
+    status = main(["search", "--q", "2", "--k", "2", "--gv", "--seed", "0"])
+    out = capsys.readouterr()
+    assert status == cli.EXIT_INTERNAL == 4
+    assert json.loads(out.out) == {
+        "error": "AssertionError", "detail": "witness failed re-verification"}
+    assert out.err.startswith("internal error: ")
 
 
 # -- field-info ---------------------------------------------------------------

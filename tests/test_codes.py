@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from mwscodes import (
@@ -25,6 +26,7 @@ from mwscodes import (
     weight_spectrum,
     weighted_weight,
 )
+from mwscodes.codes import codeword_matrix
 
 
 def make_code(q, rows, mult=()):
@@ -85,6 +87,23 @@ def test_codeword_zero_and_unit_messages():
     assert codeword(code, (1, 0)) == (1, 0, 0)
     assert codeword(code, (0, 1)) == (0, 1, 1)
     assert codeword(code, (1, 1)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 243, 256, 257, 512, 2187])
+def test_codeword_matrix_matches_codeword(q):
+    rng = np.random.default_rng(q)
+    k, n = (4, 7) if q < 100 else (2, 5)
+    while True:
+        try:
+            code = make_code(q, rng.integers(0, q, size=(k, n)).tolist())
+            break
+        except ValueError:  # rank-deficient draw
+            pass
+    messages = rng.integers(0, q, size=(300, k))
+    words = codeword_matrix(code, messages)
+    assert words.shape == (300, n)
+    assert [tuple(w) for w in words.tolist()] == [
+        codeword(code, tuple(m)) for m in messages.tolist()]
 
 
 def test_support():

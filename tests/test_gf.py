@@ -1,5 +1,8 @@
 """Field arithmetic tests, including exhaustive axiom checks for small q."""
 
+import random
+
+import numpy as np
 import pytest
 
 from mwscodes import NotPrimePowerError, build_field
@@ -88,21 +91,88 @@ def test_inverses_and_group_order(q):
         assert f.pow(a, q - 1) == 1
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 27])
+# -- log/Zech tables against the polynomial reference -------------------------
+
+REFERENCE_Q = [2, 3, 4, 8, 9, 16, 25, 27]
+LARGE_Q = [243, 256, 257, 512, 2187]
+
+
+def coeff_add(f, a, b):
+    """Reference addition: coefficient vectors added digit by digit mod p."""
+    return f._encode([(x + y) % f.p for x, y in zip(f.coeffs(a), f.coeffs(b))])
+
+
+def coeff_neg(f, a):
+    return f._encode([(-x) % f.p for x in f.coeffs(a)])
+
+
+@pytest.mark.parametrize("q", REFERENCE_Q)
 def test_table_and_direct_paths_agree(q):
+    # the lookup path against polynomial multiplication mod the modulus and
+    # coefficient-wise addition, for every pair
     f = build_field(q)
-    assert f.add_table is not None
     for a in range(q):
         for b in range(q):
-            assert f._add_direct(a, b) == int(f.add_table[a, b])
-            assert f._mul_direct(a, b) == int(f.mul_table[a, b])
+            assert f.mul(a, b) == f._mul_poly(a, b)
+            assert f.add(a, b) == coeff_add(f, a, b)
+            assert f.sub(a, b) == coeff_add(f, a, coeff_neg(f, b))
 
 
-def test_large_field_without_tables():
-    f = build_field(257)
-    assert f.add_table is None
-    assert f.mul(100, 200) == (100 * 200) % 257
-    assert f.mul(5, f.inv(5)) == 1
+def test_large_fields_match_reference_on_sampled_pairs():
+    rng = random.Random(20240)
+    for q in LARGE_Q:
+        f = build_field(q)
+        for _ in range(3000):
+            a, b = rng.randrange(q), rng.randrange(q)
+            assert f.mul(a, b) == f._mul_poly(a, b)
+            assert f.add(a, b) == coeff_add(f, a, b)
+            assert f.sub(a, b) == coeff_add(f, a, coeff_neg(f, b))
+    assert build_field(257).mul(100, 200) == (100 * 200) % 257
+
+
+@pytest.mark.parametrize("q", REFERENCE_Q + LARGE_Q)
+def test_neg_inv_pow_match_definitions(q):
+    f = build_field(q)
+    sample = range(q) if q < 100 else random.Random(q).sample(range(q), 200)
+    for a in sample:
+        assert f.neg(a) == coeff_neg(f, a)
+        assert coeff_add(f, a, f.neg(a)) == 0
+        power = 1
+        for e in range(5):
+            assert f.pow(a, e) == power
+            power = f._mul_poly(power, a)
+        if a:
+            assert f._mul_poly(a, f.inv(a)) == 1
+            assert f.pow(a, q - 1) == 1
+            assert f.pow(a, -1) == f.inv(a)
+            assert f.pow(a, q + 2) == f.pow(a, 3)
+        else:
+            assert f.pow(0, 0) == 1 and f.pow(0, q) == 0
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_log_tables_cycle_when_modulus_is_not_primitive(q):
+    f = build_field(q)
+    # the element x (integer p) does not generate the multiplicative group
+    power, order = f.p, 1
+    while power != 1:
+        power, order = f._mul_poly(power, f.p), order + 1
+    assert order < q - 1
+    exp = f.exp.tolist()
+    assert sorted(exp[: q - 1]) == list(range(1, q))
+    assert exp[q - 1 :] == exp[: q - 1]
+    assert all(f.log[exp[i]] == i for i in range(q - 1))
+    for i in range(q - 1):
+        one_plus = coeff_add(f, 1, exp[i])
+        assert f.zech[i] == (f.log[one_plus] if one_plus else -1)
+
+
+def test_array_helpers():
+    f = build_field(9)
+    a, b = np.meshgrid(np.arange(9), np.arange(9))
+    assert f.mul_array(a, b).tolist() == [
+        [f.mul(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.tolist(), b.tolist())]
+    assert f.digits(np.arange(9)).tolist() == [f.coeffs(a) for a in range(9)]
 
 
 def test_describe():
