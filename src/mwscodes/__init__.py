@@ -43,7 +43,7 @@ from .constructions import (
     mws_pipeline,
     simplex,
 )
-from .gf import GF, NotPrimePowerError, build_field
+from .gf import GF, FieldTooLargeError, NotPrimePowerError, build_field
 from .matrixio import dumps_code, load_code, loads_code, save_code
 from .search import (
     ExpectationEstimate,

@@ -25,7 +25,13 @@ import traceback
 from . import bounds as bounds_mod
 from . import constructions
 from .codes import EnumerationTooLargeError, spectrum_report
-from .gf import NotPrimePowerError, build_field
+from .gf import (
+    FieldTooLargeError,
+    NotPrimePowerError,
+    _prime_power_decomposition,
+    describe_field,
+    field_parameters,
+)
 from .matrixio import dumps_code, load_code, save_code
 from .search import (
     SearchConfig,
@@ -202,7 +208,7 @@ def cmd_bounds(args) -> int:
     if not q_list or not k_list:
         raise ValueError("empty q or k list")
     for q in q_list:
-        build_field(q)  # rejects non-prime-power q
+        _prime_power_decomposition(q)  # rejects non-prime-power q
     reports = [bounds_mod.bounds_report(q, k).to_dict() for q in q_list for k in k_list]
     if args.format == "json":
         _emit({"cells": reports})
@@ -219,8 +225,7 @@ def cmd_bounds(args) -> int:
 # -- field-info ---------------------------------------------------------------
 
 def cmd_field_info(args) -> int:
-    fld = build_field(args.q)
-    _emit(fld.describe())
+    _emit(describe_field(*field_parameters(args.q)))  # builds no tables
     return EXIT_OK
 
 
@@ -300,7 +305,7 @@ def main(argv=None) -> int:
         _diag(f"invalid input: {exc}")
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_BAD_INPUT
-    except (EnumerationTooLargeError, SearchSpaceTooLargeError) as exc:
+    except (EnumerationTooLargeError, FieldTooLargeError, SearchSpaceTooLargeError) as exc:
         _diag(f"resource guard tripped: {exc}")
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_GUARD

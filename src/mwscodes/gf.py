@@ -11,32 +11,52 @@ constant term upward.  This makes every field construction deterministic and
 reproducible.  The modulus need not be primitive (GF(9) uses x^2 + 1, and x
 has order 4), so arithmetic runs on log/exp/Zech tables of the smallest
 primitive element instead (Lidl & Niederreiter, Finite Fields, ch. 2): the
-same O(1) lookups and an O(q) build for every q.
+same O(1) lookups and an O(q) build for every q up to MAX_TABLE_ORDER.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
+
+# Larger fields raise FieldTooLargeError before any table is built; GF(2^16)'s
+# tables take about 13 MB and 0.2 s.  field_parameters() needs no tables.
+MAX_TABLE_ORDER = 2**16
 
 
 class NotPrimePowerError(ValueError):
     """Raised when a field order has two distinct prime factors."""
 
 
+class FieldTooLargeError(RuntimeError):
+    """Raised when GF(q) needs arithmetic tables above MAX_TABLE_ORDER."""
+
+
 def _prime_power_decomposition(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, p prime, or raise NotPrimePowerError."""
     if q < 2:
         raise NotPrimePowerError(f"field order must be >= 2, got {q}")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    n, m = q, 0
-    while n % p == 0:
-        n //= p
-        m += 1
+    n = q
+    p = None
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            p = d
+            while n % d == 0:
+                n //= d
+            break
+        d += 1
+    if p is None:
+        p = q  # q itself is prime
+        n = 1
     if n != 1:
         raise NotPrimePowerError(f"{q} is not a prime power")
+    m = 0
+    n = q
+    while n > 1:
+        n //= p
+        m += 1
     return p, m
 
 
@@ -92,7 +112,7 @@ class GF:
 
     With g the smallest primitive element, the tables are exp[i] = g^i (stored
     twice over, so a sum of two logs needs no modulo), log (log[0] = -1 marks
-    zero) and the Zech logarithms zech[i] = log(1 + g^i), -1 where 1 + g^i = 0.
+    zero) and the Zech logarithms log(1 + g^i), -1 where 1 + g^i = 0.
 
     Instances are immutable after construction; all operations are pure and
     safe for unrestricted concurrent use.  Obtain instances via build_field().
@@ -103,6 +123,9 @@ class GF:
         self.m = m
         self.q = p**m
         self.modulus = modulus
+        if self.q > MAX_TABLE_ORDER:
+            raise FieldTooLargeError(
+                f"GF({self.q}) exceeds the arithmetic table limit {MAX_TABLE_ORDER}")
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
         if not _is_irreducible(list(modulus), p):
@@ -202,26 +225,17 @@ class GF:
         # 1 + y only bumps y's constant digit; log[0] = -1 marks 1 + g^i = 0.
         y = exp[: q - 1]
         zech = log[y - y % p + (y % p + 1) % p]
-        exp.flags.writeable = log.flags.writeable = zech.flags.writeable = False
-        self.exp, self.log, self.zech = exp, log, zech
+        exp.flags.writeable = log.flags.writeable = False
+        self.exp, self.log = exp, log
         # The scalar methods index tuples, several times faster than numpy.
         self._exp, self._log, self._zech = (tuple(a.tolist()) for a in (exp, log, zech))
         self._log_minus_one = self._log[p - 1]
 
     # -- misc -----------------------------------------------------------------
 
-    @property
-    def name(self) -> str:
-        return f"GF({self.q})"
-
     def describe(self) -> dict:
         """Identification block used in reports."""
-        return {
-            "name": self.name,
-            "characteristic": self.p,
-            "degree": self.m,
-            "modulus": list(self.modulus),
-        }
+        return describe_field(self.p, self.m, self.modulus)
 
     def __repr__(self) -> str:
         return f"GF(q={self.q}, p={self.p}, m={self.m}, modulus={list(self.modulus)})"
@@ -237,8 +251,21 @@ class GF:
         return hash((self.p, self.m, self.modulus))
 
 
+def describe_field(p: int, m: int, modulus: tuple[int, ...]) -> dict:
+    """GF(p^m)'s identification block, as GF.describe() gives it."""
+    return {"name": f"GF({p**m})", "characteristic": p, "degree": m,
+            "modulus": list(modulus)}
+
+
+def field_parameters(q: int) -> tuple[int, int, tuple[int, ...]]:
+    """(p, m, modulus) of GF(q), found without building any tables; raises
+    NotPrimePowerError if q is not a prime power."""
+    p, m = _prime_power_decomposition(q)
+    return p, m, _smallest_irreducible(p, m)
+
+
 @lru_cache(maxsize=None)
 def build_field(q: int) -> GF:
-    """Construct GF(q), raising NotPrimePowerError if q is not a prime power."""
-    p, m = _prime_power_decomposition(q)
-    return GF(p, m, _smallest_irreducible(p, m))
+    """Construct GF(q), raising NotPrimePowerError if q is not a prime power
+    and FieldTooLargeError if q exceeds MAX_TABLE_ORDER."""
+    return GF(*field_parameters(q))

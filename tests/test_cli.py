@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from mwscodes import is_mws, load_code, loads_code
-from mwscodes import cli
+from mwscodes import cli, gf
 from mwscodes.cli import main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
@@ -245,6 +245,32 @@ def test_field_info(capsys):
 
 def test_field_info_bad_q(capsys):
     status, payload = run(capsys, "field-info", "--q", "12")
+    assert status == 2
+
+
+def test_field_info_for_a_prime_above_the_table_limit(capsys):
+    big = 2**31 - 1
+    status, payload = run(capsys, "field-info", "--q", str(big))
+    assert status == 0
+    assert payload == {"name": f"GF({big})", "characteristic": big, "degree": 1,
+                       "modulus": [0, 1]}
+
+
+def test_verify_over_a_field_above_the_table_limit_trips_the_guard(capsys, tmp_path):
+    mat = tmp_path / "big.mat"
+    mat.write_text(f"{2**31 - 1} 1 2\n1 5\n")
+    status, payload = run(capsys, "verify", "--in", str(mat))
+    assert status == 3
+    assert payload["error"] == "FieldTooLargeError"
+
+
+def test_bounds_checks_q_without_building_the_field(capsys, monkeypatch):
+    monkeypatch.setattr(gf, "MAX_TABLE_ORDER", 4)
+    gf.build_field.cache_clear()  # a cached GF(5) would hide a build
+    status, payload = run(capsys, "bounds", "--q", "5", "--k", "1")
+    assert status == 0
+    assert payload["cells"][0]["q"] == 5
+    status, payload = run(capsys, "bounds", "--q", "6", "--k", "1")
     assert status == 2
 
 

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from mwscodes import NotPrimePowerError, build_field
-from mwscodes.gf import _is_irreducible
+from mwscodes.gf import (
+    MAX_TABLE_ORDER,
+    FieldTooLargeError,
+    _is_irreducible,
+    describe_field,
+    field_parameters,
+)
 
 SMALL_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64]
 
@@ -94,7 +100,7 @@ def test_inverses_and_group_order(q):
 # -- log/Zech tables against the polynomial reference -------------------------
 
 REFERENCE_Q = [2, 3, 4, 8, 9, 16, 25, 27]
-LARGE_Q = [243, 256, 257, 512, 2187]
+LARGE_Q = [243, 256, 257, 512, 2187, MAX_TABLE_ORDER]  # 2^16: the largest with tables
 
 
 def coeff_add(f, a, b):
@@ -164,7 +170,7 @@ def test_log_tables_cycle_when_modulus_is_not_primitive(q):
     assert all(f.log[exp[i]] == i for i in range(q - 1))
     for i in range(q - 1):
         one_plus = coeff_add(f, 1, exp[i])
-        assert f.zech[i] == (f.log[one_plus] if one_plus else -1)
+        assert f._zech[i] == (f.log[one_plus] if one_plus else -1)
 
 
 def test_array_helpers():
@@ -179,3 +185,19 @@ def test_describe():
     d = build_field(4).describe()
     assert d["name"] == "GF(4)"
     assert d["modulus"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 256, 2187])
+def test_describe_field_needs_no_tables_and_matches_describe(q):
+    assert describe_field(*field_parameters(q)) == build_field(q).describe()
+
+
+def test_fields_above_the_table_limit_raise_before_building_tables():
+    big = 2**31 - 1  # prime; its tables would take hundreds of gigabytes
+    assert field_parameters(big) == (big, 1, (0, 1))
+    with pytest.raises(FieldTooLargeError):
+        build_field(big)
+    with pytest.raises(FieldTooLargeError):
+        build_field(MAX_TABLE_ORDER + 1)  # 65537 is prime
+    with pytest.raises(NotPrimePowerError):
+        field_parameters(2 * big)
