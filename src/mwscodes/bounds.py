@@ -14,6 +14,15 @@ import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
+# bounds_report refuses a cell whose exact powers 2^e need more bits than
+# this: printing 2**2**20 in decimal already takes about 2 s, and e grows like
+# k q^3 ln q (gv_qm_length) and like q^(k-1) (the simplex length).
+MAX_POWER_BITS = 2**20
+
+
+class PowerTooLargeError(RuntimeError):
+    """Raised when a bounds cell needs 2^e with e above MAX_POWER_BITS."""
+
 
 def entropy_q(q: int, x: float) -> float:
     """The q-ary entropy -x log_q x - (1-x) log_q(1-x) + x log_q(q-1).
@@ -184,7 +193,9 @@ def bounds_report(q: int, k: int, eqbound_cap: int = 2000) -> BoundsReport:
     """Assemble every bound for one (q, k) cell.
 
     eqbound_cap limits the exact threshold scan; cells whose threshold lies
-    beyond the cap report None there.  The cap stays because thresholds grow
+    beyond the cap report None there.  A cell whose embedded lengths 2^e have
+    e > MAX_POWER_BITS raises PowerTooLargeError before anything is computed
+    in full.  The cap stays because thresholds grow
     like q^{4k+2}: (9, 4) lies near n = 9e10, beyond any exact scan.  The
     D_q figure is an asymptotic estimate only and never feeds a comparison.
     """
@@ -192,6 +203,11 @@ def bounds_report(q: int, k: int, eqbound_cap: int = 2000) -> BoundsReport:
     mu = mu_q(q)
     gv_len = math.ceil(k * lam)
     simplex_len = (q**k - 1) // (q - 1)
+    exponent = max(gv_len, simplex_len - 1)
+    if exponent > MAX_POWER_BITS:
+        raise PowerTooLargeError(
+            f"(q, k) = ({q}, {k}) needs 2^{exponent}; exponents above "
+            f"MAX_POWER_BITS = {MAX_POWER_BITS} are refused")
     return BoundsReport(
         q=q,
         k=k,

@@ -124,14 +124,14 @@ def cmd_construct(args) -> int:
 
     status = EXIT_OK
     checks = {}
+    # The verdicts come from the report's own pass; the embedded code has the
+    # base's generator, so the base's supports are its supports.
+    verdicts = report if kind != "embed" else {
+        "is_qm": report["base"]["is_qm"], "is_mws": report["embedded"]["is_mws"]}
     if args.verify_qm:
-        from .codes import is_qm
-
-        checks["is_qm"] = is_qm(code)
+        checks["is_qm"] = verdicts["is_qm"]
     if args.verify_mws:
-        from .codes import is_mws
-
-        checks["is_mws"] = is_mws(code)
+        checks["is_mws"] = verdicts["is_mws"]
     if checks:
         report["verification"] = checks
         if not all(checks.values()):
@@ -305,7 +305,8 @@ def main(argv=None) -> int:
         _diag(f"invalid input: {exc}")
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_BAD_INPUT
-    except (EnumerationTooLargeError, FieldTooLargeError, SearchSpaceTooLargeError) as exc:
+    except (EnumerationTooLargeError, FieldTooLargeError, SearchSpaceTooLargeError,
+            bounds_mod.PowerTooLargeError) as exc:
         _diag(f"resource guard tripped: {exc}")
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_GUARD

@@ -9,25 +9,49 @@ astronomically large (e.g. m_i = 2^i).
 
 Weight spectra, the maximum-weight-spectrum (MWS) and quasi-minimal (QM)
 predicates, and the quadratic weight-collision criterion all live here.
+
+Enumeration.  Scalar multiples share weight and support, so only the
+(q^k - 1)/(q - 1) projective words are built, in lexicographic message order
+(first nonzero coordinate 1).  With rows g_0..g_{k-1}, the words whose
+message starts at coordinate i are g_i + span(g_{i+1..k-1}), and each span is
+the next one plus c g_j for every c in GF(q): words are built by adding rows,
+never by multiplying messages.  Addition is XOR on the elements for p = 2,
+mod p on the elements for prime q, and mod p on base-p digits otherwise.
+Words come in blocks of at most BLOCK_ROWS rows (codeword_matrix): a larger
+code reuses the span of its last rows for every prefix of the leading ones.
+A block holds rows x n entries (x m digits when added digit by digit), one
+byte each while two of them sum below 256, plus the mask, weights and
+support keys made from it.  One pass over the blocks yields the weights,
+the supports or both.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .gf import GF, build_field
+from .gf import GF
 
 # Full enumeration of q^k messages is guarded at desk scale; override with
 # the MWSCODES_MAX_ENUM environment variable.
 DEFAULT_ENUM_GUARD = 2**28
 
+# Rows per enumeration block (for q <= BLOCK_ROWS).  A code with at most
+# 2^16 projective words is one block: every code with q^k <= 2^16, which
+# covers the benchmark's verify workload.
+BLOCK_ROWS = 2**16
+
 
 class EnumerationTooLargeError(RuntimeError):
     """Raised when q^k exceeds the enumeration guard."""
+
+
+class RankDeficientError(ValueError):
+    """Raised when a generator matrix has rank below its number of rows."""
 
 
 def enumeration_guard() -> int:
@@ -64,9 +88,9 @@ def gf_rank(fld: GF, rows: list[list[int]]) -> int:
 class LinearCode:
     """A [n, k]_q generator matrix with a column multiplicity profile.
 
-    Construction rejects rank-deficient generators: every statement about
-    these codes assumes dimension exactly k, so silently reducing k would
-    poison downstream results.
+    Construction rejects rank-deficient generators (RankDeficientError): every
+    statement about these codes assumes dimension exactly k, so silently
+    reducing k would poison downstream results.
     """
 
     field: GF
@@ -93,7 +117,7 @@ class LinearCode:
         if any(m < 1 for m in self.multiplicities):
             raise ValueError("multiplicities must be >= 1")
         if gf_rank(self.field, [list(r) for r in self.generator]) != k:
-            raise ValueError(f"generator does not have full rank {k}")
+            raise RankDeficientError(f"generator does not have full rank {k}")
 
     @property
     def q(self) -> int:
@@ -114,7 +138,7 @@ class LinearCode:
 
     @property
     def is_plain(self) -> bool:
-        return all(m == 1 for m in self.multiplicities)
+        return self.effective_length == self.n  # every m_i >= 1
 
     def has_zero_column(self) -> bool:
         return any(all(row[j] == 0 for row in self.generator) for j in range(self.n))
@@ -130,35 +154,22 @@ def projective_representative_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def projective_representatives(fld: GF, k: int):
-    """Yield one message per 1-dimensional subspace of GF(q)^k.
+def projective_representatives(fld: GF, k: int) -> list[tuple[int, ...]]:
+    """One message per 1-dimensional subspace of GF(q)^k.
 
     Canonical form: first nonzero coordinate equals 1.  Messages come out in
-    lexicographic order, which keeps parallel partitioning by index stable.
+    lexicographic order, the order of the enumeration blocks: those with i
+    leading zeros are (0^i, 1, base-q digits of r) for r < q^(k-i-1).
     """
     q = fld.q
-
-    def rec(prefix: tuple[int, ...]):
-        pos = len(prefix)
-        if pos == k:
-            yield prefix
-            return
-        leading_zero = all(x == 0 for x in prefix)
-        for x in range(q):
-            if leading_zero and x not in (0, 1):
-                continue  # first nonzero coordinate is pinned to 1
-            yield from rec(prefix + (x,))
-
-    for msg in rec(()):
-        if any(msg):
-            yield msg
-
-
-@lru_cache(maxsize=128)
-def _projective_matrix(q: int, k: int) -> np.ndarray:
-    fld = build_field(q)
-    reps = list(projective_representatives(fld, k))
-    return np.array(reps, dtype=np.int64)
+    parts = [np.zeros((0, k), dtype=np.int64)]
+    for lead in reversed(range(k)):
+        free = k - lead - 1
+        msgs = np.zeros((q**free, k), dtype=np.int64)
+        msgs[:, lead] = 1
+        msgs[:, lead + 1:] = np.arange(q**free)[:, None] // q ** np.arange(free)[::-1] % q
+        parts.append(msgs)
+    return list(map(tuple, np.concatenate(parts).tolist()))
 
 
 def codeword(code: LinearCode, message) -> tuple[int, ...]:
@@ -173,19 +184,102 @@ def codeword(code: LinearCode, message) -> tuple[int, ...]:
     return tuple(word)
 
 
-def codeword_matrix(code: LinearCode, messages: np.ndarray) -> np.ndarray:
-    """Encode a batch of messages (rows) at once.  Multiplying by a generator
-    entry g is GF(p)-linear on base-p digits, so the code is one (k m) x (n m)
-    matrix over GF(p) with the digits of g x^r as blocks; each output digit
-    sums k m digit products, far inside int64."""
+# -- block enumeration --------------------------------------------------------
+
+def _digit_form(fld: GF) -> bool:
+    """Words are added digit by digit only when neither XOR (p = 2) nor
+    addition mod p (m = 1) works on the elements themselves."""
+    return fld.p > 2 and fld.m > 1
+
+
+def _lift(fld: GF, elements) -> np.ndarray:
+    """Elements in the form words are added in (see _digit_form), in the
+    smallest dtype that holds the sum of two entries: uint8 only below 128."""
+    if _digit_form(fld):
+        return fld.digits(elements).astype(np.min_scalar_type(2 * fld.p - 2))
+    return np.asarray(elements).astype(np.min_scalar_type(2 * fld.q - 2))
+
+
+def _add(fld: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a ^ b if fld.p == 2 else (a + b) % fld.p
+
+
+def _grow(fld: GF, span: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """span(b, span's words): c b + span for each c in GF(p) in turn."""
+    if fld.p == 2:  # doubling: the span, then the span plus b
+        return np.concatenate([span, span ^ b])
+    scalars = np.arange(fld.p).reshape(-1, *[1] * b.ndim)
+    multiples = (scalars * b % fld.p).astype(b.dtype)
+    return ((multiples[:, None] + span) % fld.p).reshape(-1, *span.shape[1:])
+
+
+def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
+    """(projective words, span) of the code the rows generate, both in
+    lexicographic message order; the span is complete only with with_span.
+
+    span(rows from i) is c row_i + span(rows after i) for each c in GF(q) in
+    turn, and its c = 1 part, row_i + span(rows after i), holds the words whose
+    message starts at row i; so one pass from the last row up builds both.
+    Over GF(p), adding c row_i for every c is m steps that add c' x^r row_i
+    for every c' in GF(p), r = 0..m-1: the field multiplies only to form the
+    x^r row_i, and not at all for prime q.
+    """
+    basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], fld.x_powers[:, None])
+    basis = _lift(fld, basis)  # basis[i, r] = x^r row_i
+    span = np.zeros_like(basis[0, :1])
+    parts = []
+    for i in reversed(range(len(rows))):
+        if i or with_span:
+            size = len(span)
+            for b in basis[i]:
+                span = _grow(fld, span, b)
+            parts.append(span[size:2 * size])
+        else:
+            parts.append(_add(fld, basis[0, 0], span))
+    return np.concatenate(parts), span
+
+
+def _tail_rows(q: int, k: int) -> int:
+    """The number t of last generator rows whose span each block reuses: k when
+    the whole code fits one block, else the largest t with q^t <= BLOCK_ROWS
+    (at least 1)."""
+    if projective_representative_count(q, k) <= BLOCK_ROWS:
+        return k
+    t = 1
+    while q ** (t + 1) <= BLOCK_ROWS:
+        t += 1
+    return t
+
+
+def _block_count(q: int, k: int) -> int:
+    return 1 + projective_representative_count(q, k - _tail_rows(q, k))
+
+
+@lru_cache(maxsize=1)
+def _layout(code: LinearCode):
+    """(tail, span, prefixes) of a code, cached for the code last enumerated
+    so that the blocks of one pass share them.  Block 0 is tail,
+    the projective words of the last t rows; block b >= 1 is prefix b - 1
+    plus every word of span, the span of those rows, where the prefixes are
+    the projective words of the first k - t rows.  In this order the blocks
+    list the messages lexicographically."""
     fld = code.field
-    p, m = fld.p, fld.m
-    gen = np.array(code.generator, dtype=np.int64)
-    k, n = gen.shape
-    lin = fld.digits(fld.mul_array(gen[:, :, None], fld.x_powers))
-    lin = lin.transpose(0, 2, 1, 3).reshape(k * m, n * m)
-    words = fld.digits(messages).reshape(len(messages), k * m) @ lin % p
-    return words.reshape(len(messages), n, m) @ fld.x_powers
+    rows = np.array(code.generator, dtype=np.int64)
+    top = code.k - _tail_rows(code.q, code.k)
+    tail, span = _words(fld, rows[top:], with_span=top > 0)
+    prefixes = _words(fld, rows[:top])[0] if top else tail[:0]
+    tail.flags.writeable = False  # block 0 itself, handed to every caller
+    return tail, span, prefixes
+
+
+def codeword_matrix(code: LinearCode, block: int = 0) -> np.ndarray:
+    """Enumeration block `block` of the code's projective words: one row per
+    word, in lexicographic message order, with n columns of field elements.
+    Blocks 0, 1, ... together list projective_representatives' messages."""
+    fld = code.field
+    tail, span, prefixes = _layout(code)
+    words = tail if block == 0 else _add(fld, prefixes[block - 1], span)
+    return words @ fld.x_powers if _digit_form(fld) else words
 
 
 def support(word) -> frozenset[int]:
@@ -235,19 +329,51 @@ def _check_guard(code: LinearCode, guard: int | None):
         )
 
 
-def _projective_words(code: LinearCode) -> np.ndarray:
-    messages = _projective_matrix(code.q, code.k)
-    return codeword_matrix(code, messages)
-
-
-def _projective_weights(code: LinearCode) -> list[int]:
-    words = _projective_words(code)
-    mask = words != 0
+def _weights(code: LinearCode, mask: np.ndarray) -> list[int]:
+    """Weight of each word from its nonzero mask: a count for a plain code, an
+    int64 product while N < 2^62, Python integers beyond."""
+    if code.is_plain:
+        return mask.sum(axis=1).tolist()
     mult = code.multiplicities
     if code.effective_length < 2**62:
-        vec = np.array(mult, dtype=np.int64)
-        return [int(w) for w in mask @ vec]
-    return [sum(m for m, s in zip(mult, row) if s) for row in mask]
+        return (mask @ np.array(mult, dtype=np.int64)).tolist()
+    return [sum(m for m, s in zip(mult, row) if s) for row in mask.tolist()]
+
+
+def _support_keys(mask: np.ndarray) -> np.ndarray:
+    """Each word's support as a row of uint64 bit sets, 64 columns to each."""
+    packed = np.packbits(mask, axis=1)
+    keys = np.zeros((len(mask), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    keys[:, :packed.shape[1]] = packed
+    return keys.view(np.uint64)
+
+
+def _distinct_rows(keys: np.ndarray) -> int:
+    # One key column (at most 64 columns of support) sorts flat, several
+    # columns by lexsort; equal rows then sit next to each other.
+    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T)]
+    return 1 + int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1)))
+
+
+def _enumerate(code: LinearCode, guard: int | None, weights: bool, supports: bool):
+    """One pass over the projective words: (spectrum or None, whether the
+    supports are pairwise distinct or None)."""
+    _check_guard(code, guard)
+    q, k = code.q, code.k
+    counts: Counter[int] = Counter()
+    keys = []
+    for block in range(_block_count(q, k)):
+        mask = codeword_matrix(code, block) != 0
+        if weights:
+            counts.update(_weights(code, mask))
+        if supports:
+            keys.append(_support_keys(mask))
+    spec = distinct = None
+    if weights:
+        spec = WeightSpectrum({w: c * (q - 1) for w, c in sorted(counts.items())})
+    if supports:
+        distinct = _distinct_rows(np.concatenate(keys)) == projective_representative_count(q, k)
+    return spec, distinct
 
 
 def weight_spectrum(code: LinearCode, guard: int | None = None) -> WeightSpectrum:
@@ -257,12 +383,7 @@ def weight_spectrum(code: LinearCode, guard: int | None = None) -> WeightSpectru
     representative per 1-dimensional subspace is enumerated and each count
     scales by q - 1.
     """
-    _check_guard(code, guard)
-    counts: dict[int, int] = {}
-    for w in _projective_weights(code):
-        counts[w] = counts.get(w, 0) + 1
-    scale = code.q - 1
-    return WeightSpectrum({w: c * scale for w, c in sorted(counts.items())})
+    return _enumerate(code, guard, weights=True, supports=False)[0]
 
 
 def is_mws(code: LinearCode, guard: int | None = None) -> bool:
@@ -290,12 +411,7 @@ def is_qm(code: LinearCode, guard: int | None = None) -> bool:
     Supports of all projective representatives are collected and counted;
     multiplicities do not matter since they never change a support.
     """
-    _check_guard(code, guard)
-    words = _projective_words(code)
-    mask = np.ascontiguousarray(words != 0)
-    packed = np.packbits(mask, axis=1)
-    seen = {row.tobytes() for row in packed}
-    return len(seen) == projective_representative_count(code.q, code.k)
+    return _enumerate(code, guard, weights=False, supports=True)[1]
 
 
 def qm_sufficient_dn(code: LinearCode, guard: int | None = None) -> bool:
@@ -317,8 +433,9 @@ def qm_sufficient_dD(code: LinearCode, guard: int | None = None) -> bool:
 
 
 def spectrum_report(code: LinearCode, guard: int | None = None) -> dict:
-    """JSON-ready summary: lengths, spectrum, and both predicates."""
-    spec = weight_spectrum(code, guard)
+    """JSON-ready summary: lengths, spectrum, and both predicates, from one
+    pass over the projective words."""
+    spec, qm = _enumerate(code, guard, weights=True, supports=True)
     return {
         "q": code.q,
         "k": code.k,
@@ -329,7 +446,7 @@ def spectrum_report(code: LinearCode, guard: int | None = None) -> dict:
         "D": spec.D,
         "L": spec.L,
         "counts": {str(w): a for w, a in spec.counts.items()},
-        "is_mws": is_mws(code, guard),
-        "is_qm": is_qm(code, guard),
+        "is_mws": spec.L == projective_representative_count(code.q, code.k),
+        "is_qm": qm,
         "has_zero_column": code.has_zero_column(),
     }

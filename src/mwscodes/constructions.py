@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from .codes import (
     LinearCode,
-    is_mws,
-    is_qm,
+    projective_representative_count,
     projective_representatives,
     spectrum_report,
     weight_spectrum,
@@ -48,8 +47,7 @@ def simplex(q: int, k: int) -> LinearCode:
     if k < 1:
         raise ValueError("dimension must be >= 1")
     fld = build_field(q)
-    points = list(projective_representatives(fld, k))
-    gen = tuple(tuple(pt[i] for pt in points) for i in range(k))
+    gen = tuple(zip(*projective_representatives(fld, k)))
     return LinearCode(field=fld, generator=gen)
 
 
@@ -83,7 +81,8 @@ def mws_pipeline(q: int, k: int, source: str | LinearCode = "identity") -> tuple
     source is "identity", "simplex", or an already-built plain LinearCode.
     The QM hypothesis is checked, not trusted: a non-QM source raises
     NotQuasiMinimalError, and the embedded output is re-verified through
-    multiplicity-aware weights.
+    multiplicity-aware weights.  One pass over each code serves: the base's
+    report carries its QM verdict, and the embedded spectrum its MWS verdict.
     """
     if isinstance(source, LinearCode):
         base = source
@@ -98,23 +97,23 @@ def mws_pipeline(q: int, k: int, source: str | LinearCode = "identity") -> tuple
         raise ValueError(f"unknown source {source!r}")
     if not base.is_plain:
         raise ValueError("pipeline source must be a plain code")
-    if not is_qm(base):
+    base_report = spectrum_report(base)
+    if not base_report["is_qm"]:
         raise NotQuasiMinimalError(
             f"{source_name} [{base.n},{base.k}]_{base.q} source is not quasi-minimal"
         )
     embedded = embed_f(base)
     spec = weight_spectrum(embedded)
-    verified = is_mws(embedded)
     report = {
         "construction": source_name,
-        "base": spectrum_report(base),
+        "base": base_report,
         "embedded": {
             "q": embedded.q,
             "k": embedded.k,
             "base_length": embedded.n,
             "effective_length": embedded.effective_length,
             "distinct_weights": spec.L,
-            "is_mws": verified,
+            "is_mws": spec.L == projective_representative_count(embedded.q, embedded.k),
         },
     }
     return embedded, report

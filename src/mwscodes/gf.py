@@ -60,6 +60,18 @@ def _prime_power_decomposition(q: int) -> tuple[int, int]:
     return p, m
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return factors + ([n] if n > 1 else [])
+
+
 # -- polynomial helpers over GF(p), coefficients little-endian ----------------
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -203,6 +215,16 @@ class GF:
         rem += [0] * (self.m - len(rem))
         return self._encode(rem)
 
+    def _pow_poly(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply on _mul_poly."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self._mul_poly(result, a)
+            a = self._mul_poly(a, a)
+            e >>= 1
+        return result
+
     def _powers(self, g: int) -> np.ndarray:
         """g^0 .. g^(q-2) by doubling: multiplying the block of powers so far
         by g^len(block) is one GF(p)-linear map on their digits."""
@@ -215,10 +237,12 @@ class GF:
 
     def _build_log_tables(self) -> None:
         q, p = self.q, self.p
-        for g in range(1, q):
-            powers = self._powers(g)
-            if 1 not in powers[1:]:  # g has order q - 1: it is primitive
-                break
+        # g has order q - 1 (is primitive) iff g^((q-1)/r) != 1 for every prime
+        # r dividing q - 1; only the smallest such g gets its powers walked.
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        g = next(g for g in range(1, q)
+                 if all(self._pow_poly(g, e) != 1 for e in cofactors))
+        powers = self._powers(g)
         exp = np.concatenate([powers, powers])
         log = np.full(q, -1, dtype=np.int64)
         log[exp[: q - 1]] = np.arange(q - 1)

@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import eqbound_value, lambda_q
 from .codes import (
     LinearCode,
-    gf_rank,
+    RankDeficientError,
     is_mws,
     is_qm,
     qm_sufficient_dn,
@@ -92,16 +92,18 @@ def random_code(q: int, k: int, n: int, rng: np.random.Generator) -> LinearCode:
 
     Entries are i.i.d. uniform; rank-deficient draws are rejected, which
     leaves the uniform distribution on full-rank matrices.  Zero columns are
-    allowed (the uniform model includes them).
+    allowed (the uniform model includes them).  LinearCode's own rank check
+    is the only one made per draw.
     """
     if n < k:
         raise ValueError("need n >= k for a full-rank k x n matrix")
     fld = build_field(q)
     while True:
         mat = rng.integers(0, q, size=(k, n))
-        rows = [list(map(int, r)) for r in mat]
-        if gf_rank(fld, rows) == k:
-            return LinearCode(field=fld, generator=tuple(tuple(r) for r in rows))
+        try:
+            return LinearCode(field=fld, generator=tuple(map(tuple, mat.tolist())))
+        except RankDeficientError:
+            continue
 
 
 def _target_predicate(target: str):

@@ -18,7 +18,7 @@ from mwscodes import (
     mu_q,
     mws_lower_bound,
 )
-from mwscodes.bounds import _binom_sq_sums
+from mwscodes.bounds import MAX_POWER_BITS, PowerTooLargeError, _binom_sq_sums
 
 
 # -- entropy ------------------------------------------------------------------
@@ -268,3 +268,17 @@ def test_embedded_length_log_ratio_inside_bracket():
         code, _ = mws_pipeline(2, k, "identity")
         ratio = math.log(code.effective_length, 2) / k
         assert 1 - 0.5 <= ratio <= 4 + 0.5
+
+
+def test_bounds_report_keeps_the_largest_cell_below_the_bit_limit():
+    # (2, 20): the simplex embedding has length 2^(2^20 - 2), the largest
+    # power with q = 2 under MAX_POWER_BITS = 2^20; (2, 21) needs 2^(2^21 - 2)
+    cell = bounds_report(2, 20, eqbound_cap=20)
+    assert MAX_POWER_BITS == 2**20
+    assert cell.embedded_length_simplex == 2 ** (2**20 - 2)
+    assert cell.embedded_length_gv == 2**cell.gv_qm_length == 2**20
+    with pytest.raises(PowerTooLargeError, match="2097150"):
+        bounds_report(2, 21)
+    assert bounds_report(16, 1).embedded_length_gv.bit_length() == 19099 + 1
+    with pytest.raises(PowerTooLargeError):
+        bounds_report(65537, 1)

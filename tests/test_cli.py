@@ -210,6 +210,15 @@ def test_bounds_prints_integers_past_the_str_digit_limit(capsys, fmt):
         validate(payload, "bounds_report.schema.json")
 
 
+@pytest.mark.parametrize("q,k", [(65537, 1), (2, 40), (2, 21), (64, 1)])
+def test_bounds_refuses_powers_above_the_bit_limit(capsys, q, k):
+    # (65537, 1) ran out of memory computing 2**gv_qm_length, (2, 40) would
+    # need 2**(2**40 - 2); both are refused before any power is computed
+    status, payload = run(capsys, "bounds", "--q", str(q), "--k", str(k))
+    assert status == cli.EXIT_GUARD == 3
+    assert payload["error"] == "PowerTooLargeError"
+
+
 def test_bounds_csv(capsys):
     status = main(["bounds", "--q", "2", "--k", "2..3", "--format", "csv"])
     out = capsys.readouterr().out

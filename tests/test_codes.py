@@ -26,7 +26,8 @@ from mwscodes import (
     weight_spectrum,
     weighted_weight,
 )
-from mwscodes.codes import codeword_matrix
+from mwscodes import codes
+from mwscodes.codes import RankDeficientError, codeword_matrix
 
 
 def make_code(q, rows, mult=()):
@@ -90,7 +91,9 @@ def test_codeword_zero_and_unit_messages():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 243, 256, 257, 512, 2187])
-def test_codeword_matrix_matches_codeword(q):
+def test_codeword_matrix_matches_codeword(q, monkeypatch):
+    # every enumeration block against per-message encoding, with the default
+    # block size and with one that cuts the code into several blocks
     rng = np.random.default_rng(q)
     k, n = (4, 7) if q < 100 else (2, 5)
     while True:
@@ -99,11 +102,14 @@ def test_codeword_matrix_matches_codeword(q):
             break
         except ValueError:  # rank-deficient draw
             pass
-    messages = rng.integers(0, q, size=(300, k))
-    words = codeword_matrix(code, messages)
-    assert words.shape == (300, n)
-    assert [tuple(w) for w in words.tolist()] == [
-        codeword(code, tuple(m)) for m in messages.tolist()]
+    expected = [codeword(code, m) for m in projective_representatives(code.field, k)]
+    for rows in (codes.BLOCK_ROWS, 7):
+        monkeypatch.setattr(codes, "BLOCK_ROWS", rows)
+        codes._layout.cache_clear()
+        words = [codeword_matrix(code, b) for b in range(codes._block_count(q, k))]
+        assert all(w.shape[1] == n for w in words)
+        assert [tuple(w) for block in words for w in block.tolist()] == expected
+    codes._layout.cache_clear()
 
 
 def test_support():
@@ -128,6 +134,8 @@ def test_weighted_weight_length_mismatch():
 def test_rank_deficient_generator_rejected():
     with pytest.raises(ValueError, match="rank"):
         make_code(2, [[1, 0, 1], [1, 0, 1]])
+    with pytest.raises(RankDeficientError):
+        make_code(3, [[1, 2, 0], [2, 1, 0]])  # row 2 = 2 * row 1
 
 
 def test_bad_multiplicities_rejected():

@@ -1,11 +1,13 @@
 """Field arithmetic tests, including exhaustive axiom checks for small q."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from mwscodes import NotPrimePowerError, build_field
+from mwscodes import gf
 from mwscodes.gf import (
     MAX_TABLE_ORDER,
     FieldTooLargeError,
@@ -171,6 +173,31 @@ def test_log_tables_cycle_when_modulus_is_not_primitive(q):
     for i in range(q - 1):
         one_plus = coeff_add(f, 1, exp[i])
         assert f._zech[i] == (f.log[one_plus] if one_plus else -1)
+
+
+def test_tables_are_those_of_the_smallest_primitive_element():
+    # exp walks the powers of g = exp[1], g has order q - 1, and every smaller
+    # element c = g^log(c) is not primitive (gcd(log c, q - 1) > 1): this pins
+    # the tables to the smallest primitive element, whose powers were walked
+    # before the order test replaced the walks of the non-primitive candidates
+    prime_powers = [q for q in range(2, 3000) if len(gf._prime_factors(q)) == 1]
+    assert len(prime_powers) == 466
+    for q in prime_powers + [3**10, MAX_TABLE_ORDER]:
+        f = gf.GF(*field_parameters(q))
+        exp, log = f.exp[: q - 1], f.log
+        g = int(exp[1]) if q > 2 else 1
+        assert np.array_equal(np.sort(exp), np.arange(1, q))
+        assert np.array_equal(log[exp], np.arange(q - 1))
+        assert all(math.gcd(int(log[c]), q - 1) > 1 for c in range(1, g))
+        for i in random.Random(q).sample(range(q - 1), min(q - 1, 20)):
+            assert f._mul_poly(int(exp[i]), g) == f.exp[i + 1]
+
+
+def test_prime_factors():
+    assert gf._prime_factors(1) == []
+    assert gf._prime_factors(3**10 - 1) == [2, 11, 61]
+    assert gf._prime_factors(2**16 - 1) == [3, 5, 17, 257]
+    assert gf._prime_factors(65521) == [65521]
 
 
 def test_array_helpers():

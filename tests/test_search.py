@@ -29,6 +29,34 @@ def test_random_code_full_rank_square():
         assert gf_rank(code.field, [list(r) for r in code.generator]) == 3
 
 
+def test_random_code_ranks_each_draw_once(monkeypatch):
+    from mwscodes import codes
+
+    ranks = []
+    real_rank = codes.gf_rank
+    monkeypatch.setattr(codes, "gf_rank", lambda f, rows: ranks.append(1) or real_rank(f, rows))
+
+    class CountingRng:
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def integers(self, *args, **kwargs):
+            self.draws += 1
+            return self.rng.integers(*args, **kwargs)
+
+    total = 0
+    for t in range(40):  # square binary draws are often rank-deficient
+        rng = CountingRng(trial_rng(11, t))
+        random_code(2, 3, 3, rng)
+        total += rng.draws
+    assert total > 40 and len(ranks) == total
+
+
+def test_random_code_with_no_rows_raises():
+    with pytest.raises(ValueError, match="at least one row"):
+        random_code(2, 0, 3, trial_rng(0, 0))
+
+
 def test_random_code_deterministic():
     a = random_code(3, 2, 6, trial_rng(42, 5))
     b = random_code(3, 2, 6, trial_rng(42, 5))
