@@ -199,6 +199,8 @@ def bounds_report(q: int, k: int, eqbound_cap: int = 2000) -> BoundsReport:
     like q^{4k+2}: (9, 4) lies near n = 9e10, beyond any exact scan.  The
     D_q figure is an asymptotic estimate only and never feeds a comparison.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     lam = lambda_q(q)
     mu = mu_q(q)
     gv_len = math.ceil(k * lam)

@@ -33,6 +33,8 @@ def loads_code(text: str) -> LinearCode:
     if not rows or len(rows[0]) != 3:
         raise ValueError("matrix file must start with a 'q k n' header line")
     q, k, n = rows[0]
+    if k < 1 or n < 1:
+        raise ValueError(f"header needs k >= 1 and n >= 1, got k={k}, n={n}")
     body = rows[1:]
     if len(body) == k + 1:
         multiplicities = tuple(body[0])

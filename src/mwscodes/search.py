@@ -1,5 +1,11 @@
 """Randomized and exhaustive searches for QM / MWS codes.
 
+Random, exhaustive and GV searches share one candidate scan, _scan_chunk,
+which returns the first accepted candidate of an index range.  Search and
+Monte-Carlo share one runner, _run_chunks, which splits the index space into
+chunks, runs them in order or in a process pool, and for a search stops at
+the first chunk with a witness, cancelling the chunks after it.
+
 Determinism contract: every trial derives its RNG purely from (seed, trial
 index), and witness selection always picks the smallest successful index.
 Reports are therefore byte-identical for any worker count and any chunking
@@ -68,7 +74,6 @@ class SearchConfig:
     trials: int = 10_000
     seed: int = 0
     workers: int = 1
-    space_guard: int = DEFAULT_SPACE_GUARD
 
     def __post_init__(self):
         if self.n_lo > self.n_hi:
@@ -106,22 +111,6 @@ def random_code(q: int, k: int, n: int, rng: np.random.Generator) -> LinearCode:
             continue
 
 
-def _target_predicate(target: str):
-    return is_mws if target == "mws" else is_qm
-
-
-def _random_chunk(args) -> tuple[int | None, str | None, int]:
-    """Run trials [start, stop); return (witness trial index, matrix text,
-    trials examined in this chunk)."""
-    q, k, n, seed, start, stop, target = args
-    check = _target_predicate(target)
-    for t in range(start, stop):
-        code = random_code(q, k, n, trial_rng(seed, t))
-        if check(code):
-            return t, dumps_code(code), t - start + 1
-    return None, None, stop - start
-
-
 def _systematic_code(fld, k: int, n: int, index: int) -> LinearCode:
     """The index-th systematic generator [I | A], A in row-major base-q digits."""
     q = fld.q
@@ -134,38 +123,61 @@ def _systematic_code(fld, k: int, n: int, index: int) -> LinearCode:
     return LinearCode(field=fld, generator=tuple(rows))
 
 
-def _exhaustive_chunk(args) -> tuple[int | None, str | None, int]:
-    q, k, n, start, stop, target = args
+def _accepts(target: str, code: LinearCode):
+    """Truthy when code has the target property.  "gv" asks for a QM code
+    and returns the check that accepted it: the cheap d/N condition first,
+    then the full support comparison."""
+    if target == "mws":
+        return is_mws(code)
+    if target == "qm":
+        return is_qm(code)
+    if qm_sufficient_dn(code):
+        return "sufficient_dn"
+    return "support_check" if is_qm(code) else None
+
+
+def _scan_chunk(args) -> tuple[int, str, bool | str] | None:
+    """Scan candidates lo..hi-1 and return (index, matrix text, acceptance)
+    for the first accepted one, or None.  Candidate i is the code of trial i
+    in random mode and the i-th systematic generator in exhaustive mode."""
+    q, k, n, mode, seed, target, lo, hi = args
     fld = build_field(q)
-    check = _target_predicate(target)
-    for idx in range(start, stop):
-        code = _systematic_code(fld, k, n, idx)
-        if check(code):
-            return idx, dumps_code(code), idx - start + 1
-    return None, None, stop - start
+    for i in range(lo, hi):
+        if mode == "random":
+            code = random_code(q, k, n, trial_rng(seed, i))
+        else:
+            code = _systematic_code(fld, k, n, i)
+        accepted = _accepts(target, code)
+        if accepted:
+            return i, dumps_code(code), accepted
+    return None
 
 
-def _run_chunks(worker, tasks, workers: int):
-    """Evaluate chunk tasks, optionally in a process pool.
+def _run_chunks(worker, args, total: int, workers: int, stop=None) -> list:
+    """Run worker((*args, lo, hi)) over about 4 chunks per worker of
+    range(total), in a process pool when workers > 1.
 
-    Results are merged by chunk order; chunks strictly after the first
-    witness are skipped (they can only hold larger indices), which keeps the
-    outcome identical to a fully sequential scan.
+    Results come in chunk order, up to and including the first one for which
+    stop holds; the chunks after it are cancelled.  Because pool.map yields
+    in chunk order, the first stopping chunk is the same for any worker
+    count.
     """
+    size = max(1, math.ceil(total / max(workers, 1) / 4))
+    tasks = [(*args, lo, min(lo + size, total)) for lo in range(0, total, size)]
+    results = []
     if workers <= 1 or len(tasks) <= 1:
-        results = []
         for task in tasks:
-            res = worker(task)
-            results.append(res)
-            if res[0] is not None:
+            results.append(worker(task))
+            if stop is not None and stop(results[-1]):
                 break
         return results
     with _process_pool(workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def _chunk_ranges(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
+        for result in pool.map(worker, tasks):
+            results.append(result)
+            if stop is not None and stop(result):
+                pool.shutdown(cancel_futures=True)
+                break
+    return results
 
 
 def search(config: SearchConfig) -> dict:
@@ -183,10 +195,7 @@ def search(config: SearchConfig) -> dict:
         if n < config.k:
             lengths.append({"n": n, "skipped": "n < k", "found": False})
             continue
-        if config.mode == "exhaustive":
-            entry = _search_exhaustive_length(config, n)
-        else:
-            entry = _search_random_length(config, n)
+        entry = _search_length(config, n)
         lengths.append(entry)
         if entry["found"] and shortest is None:
             shortest = n
@@ -205,8 +214,7 @@ def search(config: SearchConfig) -> dict:
 
 def _witness_entry(matrix_text: str, target: str) -> dict:
     code = loads_code(matrix_text)
-    check = _target_predicate(target)
-    if not check(code):
+    if not _accepts(target, code):
         raise AssertionError("witness failed re-verification from serialized form")
     return {
         "matrix": matrix_text,
@@ -214,67 +222,28 @@ def _witness_entry(matrix_text: str, target: str) -> dict:
     }
 
 
-def _search_random_length(config: SearchConfig, n: int) -> dict:
-    chunk = max(1, math.ceil(config.trials / max(config.workers, 1) / 4))
-    tasks = [
-        (config.q, config.k, n, config.seed, lo, hi, config.target)
-        for lo, hi in _chunk_ranges(config.trials, chunk)
-    ]
-    results = _run_chunks(_random_chunk, tasks, config.workers)
-    hits = [r[0] for r in results if r[0] is not None]
-    if hits:
-        best = min(hits)
-        text = next(r[1] for r in results if r[0] == best)
-        witness = _witness_entry(text, config.target)
-        return {
-            "n": n,
-            "found": True,
-            "witness": witness,
-            "witness_trial": best,
-            "candidates_examined": best + 1,
-            "definitive": False,
-        }
-    return {
-        "n": n,
-        "found": False,
-        "witness": None,
-        "candidates_examined": config.trials,
-        "definitive": False,
-    }
-
-
-def _search_exhaustive_length(config: SearchConfig, n: int) -> dict:
+def _search_length(config: SearchConfig, n: int) -> dict:
     q, k = config.q, config.k
-    space = q ** (k * (n - k))
-    if space > config.space_guard:
-        raise SearchSpaceTooLargeError(
-            f"systematic space q^(k(n-k)) = {space} exceeds guard {config.space_guard}"
-        )
-    chunk = max(1, math.ceil(space / max(config.workers, 1) / 4))
-    tasks = [
-        (q, k, n, lo, hi, config.target) for lo, hi in _chunk_ranges(space, chunk)
-    ]
-    results = _run_chunks(_exhaustive_chunk, tasks, config.workers)
-    hits = [r[0] for r in results if r[0] is not None]
-    if hits:
-        best = min(hits)
-        text = next(r[1] for r in results if r[0] == best)
-        witness = _witness_entry(text, config.target)
-        return {
-            "n": n,
-            "found": True,
-            "witness": witness,
-            "witness_index": best,
-            "candidates_examined": best + 1,
-            "definitive": True,
-        }
-    return {
-        "n": n,
-        "found": False,
-        "witness": None,
-        "candidates_examined": space,
-        "definitive": True,
-    }
+    exhaustive = config.mode == "exhaustive"
+    if exhaustive:
+        space = q ** (k * (n - k))
+        if space > DEFAULT_SPACE_GUARD:
+            raise SearchSpaceTooLargeError(
+                f"systematic space q^(k(n-k)) = {space} exceeds guard {DEFAULT_SPACE_GUARD}"
+            )
+    else:
+        space = config.trials
+    args = (q, k, n, config.mode, config.seed, config.target)
+    hit = _run_chunks(_scan_chunk, args, space, config.workers,
+                      stop=lambda result: result is not None)[-1]
+    entry = {"n": n, "found": hit is not None, "witness": None}
+    if hit is not None:
+        index, text, _ = hit
+        entry["witness"] = _witness_entry(text, config.target)
+        entry["witness_index" if exhaustive else "witness_trial"] = index
+    entry["candidates_examined"] = space if hit is None else hit[0] + 1
+    entry["definitive"] = exhaustive
+    return entry
 
 
 # -- GV-style QM search -------------------------------------------------------
@@ -288,15 +257,7 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
     """
     n = math.ceil(k * lambda_q(q))
     t0 = time.monotonic()
-    found = None
-    for t in range(trials):
-        code = random_code(q, k, n, trial_rng(seed, t))
-        if qm_sufficient_dn(code):
-            found = (t, code, "sufficient_dn")
-            break
-        if is_qm(code):
-            found = (t, code, "support_check")
-            break
+    hit = _scan_chunk((q, k, n, "random", seed, "gv", 0, trials))
     report = {
         "q": q,
         "k": k,
@@ -304,21 +265,16 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
         "target": "qm",
         "seed": seed,
         "trials": trials,
-        "found": found is not None,
+        "found": hit is not None,
         "wall_clock_seconds": time.monotonic() - t0,
     }
-    if found:
-        t, code, path = found
-        if not is_qm(code):
-            raise AssertionError("witness failed re-verification")
+    if hit is not None:
+        index, text, path = hit
         report.update(
             {
-                "witness_trial": t,
+                "witness_trial": index,
                 "acceptance_path": path,
-                "witness": {
-                    "matrix": dumps_code(code),
-                    "has_zero_column": code.has_zero_column(),
-                },
+                "witness": _witness_entry(text, "qm"),
             }
         )
     return report
@@ -382,14 +338,10 @@ def estimate_expectation(
     """Sample random [n,k]_q codes and compare the mean collision statistic
     sum_w A_w(A_w - (q-1)) against its exact theoretical ceiling
     q^{2k-2n} sum_w C(n,w)^2 (q-1)^{2w}."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     t0 = time.monotonic()
-    chunk = max(1, math.ceil(samples / max(workers, 1) / 4))
-    tasks = [(q, k, n, seed, lo, hi) for lo, hi in _chunk_ranges(samples, chunk)]
-    if workers <= 1 or len(tasks) <= 1:
-        results = [_expectation_chunk(t) for t in tasks]
-    else:
-        with _process_pool(workers) as pool:
-            results = list(pool.map(_expectation_chunk, tasks))
+    results = _run_chunks(_expectation_chunk, (q, k, n, seed), samples, workers)
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)
     hits = sum(r[2] for r in results)

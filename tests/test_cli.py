@@ -89,6 +89,16 @@ def test_verify_status_tracks_predicates(capsys, tmp_path):
     assert status == 0
 
 
+@pytest.mark.parametrize("text", ["2 -1 3\n", "2 1 -1\n1\n"])
+def test_verify_rejects_header_below_one(capsys, tmp_path, text):
+    # k = -1 once reached an IndexError (exit 4) reading the missing first row
+    mat = tmp_path / "bad.mat"
+    mat.write_text(text)
+    status, payload = run(capsys, "verify", "--in", str(mat))
+    assert status == 2
+    assert "header" in payload["detail"]
+
+
 def test_verify_missing_file(capsys):
     status, payload = run(capsys, "verify", "--in", "/nonexistent.mat")
     assert status == 2
@@ -143,6 +153,12 @@ def test_search_gv(capsys):
                           "--trials", "50", "--seed", "0")
     assert status == 0
     assert payload["found"] is True
+    validate(payload, "gv_search_report.schema.json")
+    status, payload = run(capsys, "search", "--q", "2", "--k", "3", "--gv",
+                          "--trials", "0", "--seed", "0")
+    assert status == 0
+    assert payload["found"] is False
+    validate(payload, "gv_search_report.schema.json")
 
 
 # -- montecarlo ---------------------------------------------------------------
@@ -154,6 +170,14 @@ def test_montecarlo(capsys):
     assert payload["seed"] == 7
     assert payload["mean"] <= payload["bound"] + 4 * payload["stderr"]
     validate(payload, "montecarlo_report.schema.json")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_montecarlo_rejects_fewer_than_one_sample(capsys, samples):
+    status, payload = run(capsys, "montecarlo", "--q", "2", "--k", "2", "--n", "8",
+                          "--samples", samples, "--seed", "7")
+    assert status == 2
+    assert payload["error"] == "ValueError"
 
 
 def test_montecarlo_logs_random_seed_when_missing(capsys):
@@ -184,6 +208,13 @@ def test_bounds_two_dim_row(capsys):
 def test_bounds_rejects_non_prime_power(capsys):
     status, payload = run(capsys, "bounds", "--q", "6", "--k", "2")
     assert status == 2
+
+
+@pytest.mark.parametrize("q,k", [("2", "0"), ("3", "-1")])
+def test_bounds_rejects_k_below_one(capsys, q, k):
+    status, payload = run(capsys, "bounds", "--q", q, "--k", k)
+    assert status == 2
+    assert payload["error"] == "ValueError"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -17,10 +17,12 @@ import re
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
+SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
 WALL = re.compile(r'"wall_clock_seconds": [-+0-9.eE]+')
 
 
@@ -141,6 +143,33 @@ def test_golden_payload(index, tmp_path):
     golden = _golden()[index]
     got = run_case(golden["argv"], golden["input"], tmp_path)
     assert (got["exit"], got["stdout"]) == (golden["exit"], golden["stdout"])
+
+
+def _schema_name(argv: list[str]) -> str | None:
+    """The schema a command's JSON payload follows, if one covers it."""
+    if argv[0] == "search":
+        return "gv_search_report" if "--gv" in argv else "search_report"
+    if argv[0] == "montecarlo":
+        return "montecarlo_report"
+    if argv[0] == "bounds" and "csv" not in argv:
+        return "bounds_report"
+    return None
+
+
+def test_golden_payloads_follow_their_schemas():
+    from mwscodes.cli import _unlimited_int_str
+
+    checked = 0
+    for golden in _golden():
+        name = _schema_name(golden["argv"])
+        if golden["exit"] != 0 or name is None:
+            continue
+        schema = json.loads((SCHEMAS / f"{name}.schema.json").read_text())
+        with _unlimited_int_str():  # bounds cells past 4300 digits
+            payload = json.loads(golden["stdout"])
+        jsonschema.validate(payload, schema)
+        checked += 1
+    assert checked == 17  # 11 search (3 GV), 3 montecarlo, 3 JSON bounds
 
 
 if __name__ == "__main__":

@@ -118,9 +118,8 @@ def test_exhaustive_ternary_k2():
 
 
 def test_exhaustive_guard():
-    config = SearchConfig(
-        q=4, k=2, n_lo=10, n_hi=10, target="mws", mode="exhaustive", space_guard=2**20
-    )
+    # 4^(2*18) = 2^72 systematic generators, far above DEFAULT_SPACE_GUARD
+    config = SearchConfig(q=4, k=2, n_lo=20, n_hi=20, target="mws", mode="exhaustive")
     with pytest.raises(SearchSpaceTooLargeError):
         search(config)
 
@@ -153,17 +152,65 @@ def _strip_clock(report):
 
 
 def test_search_worker_count_invariance():
-    base = None
-    for workers in (1, 2, 3):
-        config = SearchConfig(
-            q=3, k=2, n_lo=6, n_hi=6, target="mws", mode="random",
-            trials=2_000, seed=9, workers=workers,
-        )
-        report = _strip_clock(search(config))
-        if base is None:
-            base = report
-        else:
-            assert report == base
+    # random mode with trials=2_000, and exhaustive mode, whose witness
+    # (index 361 of 3^8) lies in the first of several chunks
+    for mode in ("random", "exhaustive"):
+        base = None
+        for workers in (1, 2, 3):
+            config = SearchConfig(
+                q=3, k=2, n_lo=6, n_hi=6, target="mws", mode=mode,
+                trials=2_000, seed=9, workers=workers,
+            )
+            report = _strip_clock(search(config))
+            if base is None:
+                base = report
+            else:
+                assert report == base
+        assert base["lengths"][0]["found"] is True
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that runs each mapped task in this
+    process only when its result is asked for, and records which tasks ran
+    and which were cancelled by shutdown(cancel_futures=True)."""
+
+    last = None
+
+    def __init__(self, max_workers):
+        self.pending, self.ran, self.cancelled = [], [], []
+        RecordingPool.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def map(self, fn, tasks):
+        self.pending = list(tasks)
+        while self.pending:
+            task = self.pending.pop(0)
+            self.ran.append(task[-2:])
+            yield fn(task)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        if cancel_futures:
+            self.cancelled += [task[-2:] for task in self.pending]
+            self.pending.clear()
+
+
+def test_search_cancels_chunks_after_the_witness(monkeypatch):
+    search_mod = importlib.import_module("mwscodes.search")
+    config = dict(q=3, k=2, n_lo=6, n_hi=6, target="mws", mode="exhaustive")
+    serial = _strip_clock(search(SearchConfig(**config)))
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+    report = _strip_clock(search(SearchConfig(**config, workers=2)))
+    assert report == serial
+    pool = RecordingPool.last
+    # 3^8 = 6561 candidates in 8 chunks of 821; the witness, index 361, is
+    # in the first, so the other seven are cancelled without running
+    assert pool.ran == [(0, 821)]
+    assert len(pool.cancelled) == 7 and pool.cancelled[-1] == (5747, 6561)
 
 
 def test_search_skips_lengths_below_k():
@@ -215,8 +262,9 @@ def test_estimate_respects_bound_at_threshold():
 
 def test_estimate_worker_invariance():
     a = estimate_expectation(2, 2, 8, samples=1_000, seed=2, workers=1)
-    b = estimate_expectation(2, 2, 8, samples=1_000, seed=2, workers=3)
-    assert a.to_dict().keys() == b.to_dict().keys()
-    da, db = a.to_dict(), b.to_dict()
-    da.pop("wall_clock_seconds"), db.pop("wall_clock_seconds")
-    assert da == db
+    for workers in (2, 3):
+        b = estimate_expectation(2, 2, 8, samples=1_000, seed=2, workers=workers)
+        assert a.to_dict().keys() == b.to_dict().keys()
+        da, db = a.to_dict(), b.to_dict()
+        da.pop("wall_clock_seconds"), db.pop("wall_clock_seconds")
+        assert da == db
