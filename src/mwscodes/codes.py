@@ -23,6 +23,11 @@ A block holds rows x n entries (x m digits when added digit by digit), one
 byte each while two of them sum below 256, plus the mask, weights and
 support keys made from it.  One pass over the blocks yields the weights,
 the supports or both.
+
+The same functions take a stack of B generators, shape (k, B, n), as well
+as one (k, n) generator: the words then carry the candidate axis after the
+word axis, and one pass gives each candidate's weight histogram
+(_histograms).  Searches evaluate their candidates this way, B at a time.
 """
 
 from __future__ import annotations
@@ -216,6 +221,7 @@ def _grow(fld: GF, span: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
     """(projective words, span) of the code the rows generate, both in
     lexicographic message order; the span is complete only with with_span.
+    rows is (k, n), or a stack (k, B, n) whose words come out (words, B, n).
 
     span(rows from i) is c row_i + span(rows after i) for each c in GF(q) in
     turn, and its c = 1 part, row_i + span(rows after i), holds the words whose
@@ -224,7 +230,8 @@ def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
     for every c' in GF(p), r = 0..m-1: the field multiplies only to form the
     x^r row_i, and not at all for prime q.
     """
-    basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], fld.x_powers[:, None])
+    x_powers = fld.x_powers.reshape(-1, *[1] * (rows.ndim - 1))
+    basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], x_powers)
     basis = _lift(fld, basis)  # basis[i, r] = x^r row_i
     span = np.zeros_like(basis[0, :1])
     parts = []
@@ -255,31 +262,39 @@ def _block_count(q: int, k: int) -> int:
     return 1 + projective_representative_count(q, k - _tail_rows(q, k))
 
 
-@lru_cache(maxsize=1)
-def _layout(code: LinearCode):
-    """(tail, span, prefixes) of a code, cached for the code last enumerated
-    so that the blocks of one pass share them.  Block 0 is tail,
-    the projective words of the last t rows; block b >= 1 is prefix b - 1
-    plus every word of span, the span of those rows, where the prefixes are
-    the projective words of the first k - t rows.  In this order the blocks
-    list the messages lexicographically."""
-    fld = code.field
-    rows = np.array(code.generator, dtype=np.int64)
-    top = code.k - _tail_rows(code.q, code.k)
+def _stack_layout(fld: GF, rows: np.ndarray):
+    """(tail, span, prefixes) of the code, or stack of codes, in rows.  Block
+    0 is tail, the projective words of the last t rows; block b >= 1 is
+    prefix b - 1 plus every word of span, the span of those rows, where the
+    prefixes are the projective words of the first k - t rows.  In this order
+    the blocks list the messages lexicographically."""
+    top = len(rows) - _tail_rows(fld.q, len(rows))
     tail, span = _words(fld, rows[top:], with_span=top > 0)
     prefixes = _words(fld, rows[:top])[0] if top else tail[:0]
-    tail.flags.writeable = False  # block 0 itself, handed to every caller
     return tail, span, prefixes
+
+
+@lru_cache(maxsize=1)
+def _layout(code: LinearCode):
+    """The code's _stack_layout, cached for the code last enumerated so that
+    the blocks of one pass share it."""
+    layout = _stack_layout(code.field, np.array(code.generator, dtype=np.int64))
+    layout[0].flags.writeable = False  # block 0 itself, handed to every caller
+    return layout
+
+
+def _block(fld: GF, layout, block: int) -> np.ndarray:
+    """Block `block` of a _stack_layout, as field elements."""
+    tail, span, prefixes = layout
+    words = tail if block == 0 else _add(fld, prefixes[block - 1], span)
+    return words @ fld.x_powers if _digit_form(fld) else words
 
 
 def codeword_matrix(code: LinearCode, block: int = 0) -> np.ndarray:
     """Enumeration block `block` of the code's projective words: one row per
     word, in lexicographic message order, with n columns of field elements.
     Blocks 0, 1, ... together list projective_representatives' messages."""
-    fld = code.field
-    tail, span, prefixes = _layout(code)
-    words = tail if block == 0 else _add(fld, prefixes[block - 1], span)
-    return words @ fld.x_powers if _digit_form(fld) else words
+    return _block(code.field, _layout(code), block)
 
 
 def support(word) -> frozenset[int]:
@@ -321,12 +336,10 @@ class WeightSpectrum:
         return sum(self.counts.values())
 
 
-def _check_guard(code: LinearCode, guard: int | None):
+def _check_guard(q: int, k: int, guard: int | None):
     limit = guard if guard is not None else enumeration_guard()
-    if code.q**code.k > limit:
-        raise EnumerationTooLargeError(
-            f"q^k = {code.q}**{code.k} exceeds enumeration guard {limit}"
-        )
+    if q**k > limit:
+        raise EnumerationTooLargeError(f"q^k = {q}**{k} exceeds enumeration guard {limit}")
 
 
 def _weights(code: LinearCode, mask: np.ndarray) -> list[int]:
@@ -341,25 +354,38 @@ def _weights(code: LinearCode, mask: np.ndarray) -> list[int]:
 
 
 def _support_keys(mask: np.ndarray) -> np.ndarray:
-    """Each word's support as a row of uint64 bit sets, 64 columns to each."""
-    packed = np.packbits(mask, axis=1)
-    keys = np.zeros((len(mask), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    keys[:, :packed.shape[1]] = packed
+    """Each word's support as uint64 bit sets, 64 columns to each, along the
+    mask's last axis."""
+    packed = np.packbits(mask, axis=-1)
+    keys = np.zeros((*mask.shape[:-1], -(-packed.shape[-1] // 8) * 8), dtype=np.uint8)
+    keys[..., :packed.shape[-1]] = packed
     return keys.view(np.uint64)
 
 
-def _distinct_rows(keys: np.ndarray) -> int:
-    # One key column (at most 64 columns of support) sorts flat, several
-    # columns by lexsort; equal rows then sit next to each other.
-    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T)]
-    return 1 + int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1)))
+def _distinct_rows(keys: np.ndarray) -> np.ndarray:
+    """The number of distinct key rows of each candidate, for keys of shape
+    (words, candidates, key columns)."""
+    # One key column (at most 64 columns of support) sorts along the words.
+    # Several columns sort candidate by candidate in one lexsort: it is
+    # stable, so equal rows sit next to each other in candidate order, and a
+    # row starts a new group when its key or its candidate changes.
+    if keys.shape[2] == 1:
+        keys = np.sort(keys[..., 0], axis=0)
+        return 1 + np.count_nonzero(keys[1:] != keys[:-1], axis=0)
+    words, count = keys.shape[:2]
+    ids = np.repeat(np.arange(count), words)
+    keys = keys.transpose(1, 0, 2).reshape(count * words, -1)
+    order = np.lexsort(keys.T)
+    keys, ids = keys[order], ids[order]
+    new = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1) | (ids[1:] != ids[:-1])])
+    return np.bincount(ids[new], minlength=count)
 
 
 def _enumerate(code: LinearCode, guard: int | None, weights: bool, supports: bool):
     """One pass over the projective words: (spectrum or None, whether the
     supports are pairwise distinct or None)."""
-    _check_guard(code, guard)
     q, k = code.q, code.k
+    _check_guard(q, k, guard)
     counts: Counter[int] = Counter()
     keys = []
     for block in range(_block_count(q, k)):
@@ -372,8 +398,29 @@ def _enumerate(code: LinearCode, guard: int | None, weights: bool, supports: boo
     if weights:
         spec = WeightSpectrum({w: c * (q - 1) for w, c in sorted(counts.items())})
     if supports:
-        distinct = _distinct_rows(np.concatenate(keys)) == projective_representative_count(q, k)
+        distinct = int(_distinct_rows(np.concatenate(keys)[:, None])[0]) == \
+            projective_representative_count(q, k)
     return spec, distinct
+
+
+def _histograms(fld: GF, stack: np.ndarray, supports: bool):
+    """One pass over the plain codes stacked in stack (k, B, n): their
+    projective words counted by weight, (B, n + 1), and with supports the
+    number of distinct supports of each (else None).  Bin 0 is empty exactly
+    for a full-rank code; such a code is MWS when no bin exceeds 1, and its
+    minimum distance is its first nonzero bin."""
+    k, count, n = stack.shape
+    _check_guard(fld.q, k, None)
+    layout = _stack_layout(fld, stack)
+    offsets = (n + 1) * np.arange(count)
+    hist = np.zeros(count * (n + 1), dtype=np.int64)
+    keys = []
+    for block in range(_block_count(fld.q, k)):
+        mask = _block(fld, layout, block) != 0
+        hist += np.bincount((mask.sum(axis=2) + offsets).ravel(), minlength=len(hist))
+        if supports:
+            keys.append(_support_keys(mask))
+    return hist.reshape(count, n + 1), _distinct_rows(np.concatenate(keys)) if supports else None
 
 
 def weight_spectrum(code: LinearCode, guard: int | None = None) -> WeightSpectrum:
@@ -409,9 +456,11 @@ def is_qm(code: LinearCode, guard: int | None = None) -> bool:
     """True iff linearly independent codewords always have distinct supports.
 
     Supports of all projective representatives are collected and counted;
-    multiplicities do not matter since they never change a support.
+    multiplicities do not matter since they never change a support.  Over
+    GF(2) distinct nonzero words have distinct supports, so every binary
+    code is QM and nothing is enumerated.
     """
-    return _enumerate(code, guard, weights=False, supports=True)[1]
+    return code.q == 2 or _enumerate(code, guard, weights=False, supports=True)[1]
 
 
 def qm_sufficient_dn(code: LinearCode, guard: int | None = None) -> bool:
@@ -434,8 +483,9 @@ def qm_sufficient_dD(code: LinearCode, guard: int | None = None) -> bool:
 
 def spectrum_report(code: LinearCode, guard: int | None = None) -> dict:
     """JSON-ready summary: lengths, spectrum, and both predicates, from one
-    pass over the projective words."""
-    spec, qm = _enumerate(code, guard, weights=True, supports=True)
+    pass over the projective words (weights only for a binary code, which is
+    always QM; see is_qm)."""
+    spec, qm = _enumerate(code, guard, weights=True, supports=code.q > 2)
     return {
         "q": code.q,
         "k": code.k,
@@ -447,6 +497,6 @@ def spectrum_report(code: LinearCode, guard: int | None = None) -> dict:
         "L": spec.L,
         "counts": {str(w): a for w, a in spec.counts.items()},
         "is_mws": spec.L == projective_representative_count(code.q, code.k),
-        "is_qm": qm,
+        "is_qm": code.q == 2 or qm,
         "has_zero_column": code.has_zero_column(),
     }

@@ -6,15 +6,23 @@ Monte-Carlo share one runner, _run_chunks, which splits the index space into
 chunks, runs them in order or in a process pool, and for a search stops at
 the first chunk with a witness, cancelling the chunks after it.
 
+A scan stacks its candidates in batches (_candidates) and reads each
+verdict off the candidate's weight histogram, or its supports for QM over
+q > 2.  Only a witness becomes a LinearCode, re-verified from its
+serialized text through the public predicates.
+
 Determinism contract: every trial derives its RNG purely from (seed, trial
 index), and witness selection always picks the smallest successful index.
 Reports are therefore byte-identical for any worker count and any chunking
-of the trial space.
+of the trial space.  Trial i's code is the first full-rank matrix among the
+draws of trial_rng(seed, i) (_draws), so each trial pays for creating its
+RNG, about 20 us, whatever the batch size.
 
 Exhaustive mode enumerates systematic generators [I | A] only.  Every
 full-rank code is permutation-equivalent to a systematic one and coordinate
 permutations preserve weight spectra, so a "none exists" verdict at a length
-is definitive while the space shrinks from q^{kn} to q^{k(n-k)}.
+is definitive while the space shrinks from q^{kn} to q^{k(n-k)}.  [I | A]
+has rank k by construction, so these candidates need no rank test.
 """
 
 from __future__ import annotations
@@ -26,14 +34,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codes
 from .bounds import eqbound_value, lambda_q
 from .codes import (
     LinearCode,
     RankDeficientError,
+    _histograms,
     is_mws,
     is_qm,
+    projective_representative_count,
     qm_sufficient_dn,
-    weight_spectrum,
 )
 from .gf import build_field
 from .matrixio import dumps_code, loads_code
@@ -92,35 +102,81 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _draws(q: int, k: int, n: int, rng: np.random.Generator):
+    """The k x n matrices a trial draws in turn, entries i.i.d. uniform."""
+    while True:
+        yield rng.integers(0, q, size=(k, n))
+
+
 def random_code(q: int, k: int, n: int, rng: np.random.Generator) -> LinearCode:
     """A uniformly random full-rank k x n generator matrix over GF(q).
 
     Entries are i.i.d. uniform; rank-deficient draws are rejected, which
     leaves the uniform distribution on full-rank matrices.  Zero columns are
-    allowed (the uniform model includes them).  LinearCode's own rank check
-    is the only one made per draw.
+    allowed (the uniform model includes them).  Each draw is ranked once, by
+    LinearCode's own check.  The search scans draw the same matrices
+    (_draws) and rank them from their weight histograms instead.
     """
     if n < k:
         raise ValueError("need n >= k for a full-rank k x n matrix")
     fld = build_field(q)
-    while True:
-        mat = rng.integers(0, q, size=(k, n))
+    for mat in _draws(q, k, n, rng):
         try:
             return LinearCode(field=fld, generator=tuple(map(tuple, mat.tolist())))
         except RankDeficientError:
             continue
 
 
-def _systematic_code(fld, k: int, n: int, index: int) -> LinearCode:
-    """The index-th systematic generator [I | A], A in row-major base-q digits."""
-    q = fld.q
-    rows = []
-    for i in range(k):
-        row = [1 if j == i else 0 for j in range(k)]
-        for j in range(n - k):
-            row.append((index // q ** (i * (n - k) + j)) % q)
-        rows.append(tuple(row))
-    return LinearCode(field=fld, generator=tuple(rows))
+def _systematic(q: int, k: int, n: int, lo: int, hi: int) -> np.ndarray:
+    """The systematic generators [I | A] of indices lo..hi-1, shape
+    (hi - lo, k, n); A holds the index's base-q digits in row-major order,
+    least significant first."""
+    digits = np.arange(lo, hi)[:, None] // q ** np.arange(k * (n - k)) % q
+    gens = np.zeros((hi - lo, k, n), dtype=np.int64)
+    gens[:, :, :k] = np.eye(k, dtype=np.int64)
+    gens[:, :, k:] = digits.reshape(hi - lo, k, n - k)
+    return gens
+
+
+def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
+                supports: bool):
+    """Yield (first index, generators (B, k, n), histograms, distinct support
+    counts) for candidates lo..hi-1 in batches of 1, 2, 4, ... candidates,
+    up to BLOCK_ROWS projective words, so that an early witness costs little.
+
+    Candidate i is trial i's code in random mode and the i-th systematic
+    generator in exhaustive mode.  A rank-deficient draw (bin 0 not empty)
+    is replaced by replaying its trial's RNG: the batch's deficient trials
+    draw again together until each has full rank."""
+    if k < 1:
+        raise ValueError("generator needs at least one row")
+    if n < k:
+        raise ValueError("need n >= k for a full-rank k x n matrix")
+    fld = build_field(q)
+    most = max(1, codes.BLOCK_ROWS // projective_representative_count(q, k))
+    size = 1
+    while lo < hi:
+        top = min(lo + size, hi)
+        if mode == "random":
+            gens = np.stack([next(_draws(q, k, n, trial_rng(seed, i))) for i in range(lo, top)])
+        else:
+            gens = _systematic(q, k, n, lo, top)
+        hist, distinct = _histograms(fld, gens.transpose(1, 0, 2), supports)
+        replays = {}
+        for j in np.flatnonzero(hist[:, 0]) if mode == "random" else ():
+            replays[j] = _draws(q, k, n, trial_rng(seed, lo + j))
+            next(replays[j])  # the rank-deficient draw
+        while replays:  # one pass per round of redraws
+            redrawn = list(replays)
+            gens[redrawn] = [next(replays[j]) for j in redrawn]
+            hist[redrawn], found = _histograms(fld, gens[redrawn].transpose(1, 0, 2), supports)
+            if supports:
+                distinct[redrawn] = found
+            for j in redrawn:
+                if not hist[j, 0]:
+                    del replays[j]
+        yield lo, gens, hist, distinct
+        lo, size = top, min(2 * size, most)
 
 
 def _accepts(target: str, code: LinearCode):
@@ -138,18 +194,27 @@ def _accepts(target: str, code: LinearCode):
 
 def _scan_chunk(args) -> tuple[int, str, bool | str] | None:
     """Scan candidates lo..hi-1 and return (index, matrix text, acceptance)
-    for the first accepted one, or None.  Candidate i is the code of trial i
-    in random mode and the i-th systematic generator in exhaustive mode."""
+    for the first accepted one, or None.  The verdicts are _accepts', read
+    off each batch's histograms: MWS when no bin holds two words, QM when
+    the supports are distinct (always over GF(2)), and for "gv" the d/N
+    condition on the first nonzero bin before the supports."""
     q, k, n, mode, seed, target, lo, hi = args
-    fld = build_field(q)
-    for i in range(lo, hi):
-        if mode == "random":
-            code = random_code(q, k, n, trial_rng(seed, i))
+    supports = target != "mws" and q > 2
+    ceiling = projective_representative_count(q, k)
+    for first, gens, hist, distinct in _candidates(q, k, n, mode, seed, lo, hi, supports):
+        if target == "mws":
+            ok = (hist <= 1).all(axis=1)
         else:
-            code = _systematic_code(fld, k, n, i)
-        accepted = _accepts(target, code)
-        if accepted:
-            return i, dumps_code(code), accepted
+            ok = distinct == ceiling if supports else np.full(len(hist), True)
+        if target == "gv":
+            by_dn = ((hist[:, 1:] > 0).argmax(axis=1) + 1) * (q - 1) > (q - 2) * n
+            ok = by_dn | ok
+        hits = np.flatnonzero(ok)
+        if len(hits):
+            j = int(hits[0])
+            code = LinearCode(field=build_field(q), generator=tuple(map(tuple, gens[j].tolist())))
+            accepted = True if target != "gv" else "sufficient_dn" if by_dn[j] else "support_check"
+            return first + j, dumps_code(code), accepted
     return None
 
 
@@ -255,6 +320,8 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
     to the full support comparison; the report says which path fired.  Not
     finding a witness within the trial budget is an outcome, not an error.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n = math.ceil(k * lambda_q(q))
     t0 = time.monotonic()
     hit = _scan_chunk((q, k, n, "random", seed, "gv", 0, trials))
@@ -283,20 +350,20 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
 # -- Monte-Carlo validation of the averaging argument -------------------------
 
 def _expectation_chunk(args) -> tuple[int, int, int]:
-    """Return (sum of collision statistics, sum of squares, MWS hits)."""
+    """Return (sum of collision statistics, sum of squares, MWS hits).  A
+    code's statistic sum_w A_w (A_w - (q-1)), with A_w = (q-1) c_w for c_w
+    projective words of weight w, is (q-1)^2 sum_w c_w (c_w - 1); the sums
+    are kept in Python integers."""
     q, k, n, seed, start, stop = args
     total = 0
     total_sq = 0
     hits = 0
-    ceiling = (q**k - 1) // (q - 1)
-    for t in range(start, stop):
-        code = random_code(q, k, n, trial_rng(seed, t))
-        spec = weight_spectrum(code)
-        s = sum(a * (a - (q - 1)) for a in spec.counts.values())
-        total += s
-        total_sq += s * s
-        if spec.L == ceiling:
-            hits += 1
+    for _, _, hist, _ in _candidates(q, k, n, "random", seed, start, stop, supports=False):
+        for collisions in (hist * (hist - 1)).sum(axis=1).tolist():
+            s = (q - 1) ** 2 * collisions
+            total += s
+            total_sq += s * s
+        hits += int((hist <= 1).all(axis=1).sum())
     return total, total_sq, hits
 
 

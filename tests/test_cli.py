@@ -1,5 +1,6 @@
 """CLI behavior: exit statuses, JSON payloads, schema validation, round trips."""
 
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -148,17 +149,29 @@ def test_search_guard_exit_code(capsys):
     assert payload["error"] == "SearchSpaceTooLargeError"
 
 
-def test_search_gv(capsys):
+def test_search_gv(capsys, monkeypatch):
     status, payload = run(capsys, "search", "--q", "2", "--k", "3", "--gv",
                           "--trials", "50", "--seed", "0")
     assert status == 0
     assert payload["found"] is True
     validate(payload, "gv_search_report.schema.json")
+    # a binary GV search accepts its first trial, so a scan that finds
+    # nothing stands in for a search without a witness
+    monkeypatch.setattr(importlib.import_module("mwscodes.search"), "_scan_chunk",
+                        lambda args: None)
     status, payload = run(capsys, "search", "--q", "2", "--k", "3", "--gv",
-                          "--trials", "0", "--seed", "0")
+                          "--trials", "50", "--seed", "0")
     assert status == 0
     assert payload["found"] is False
     validate(payload, "gv_search_report.schema.json")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_search_gv_rejects_fewer_than_one_trial(capsys, trials):
+    status, payload = run(capsys, "search", "--q", "3", "--k", "2", "--gv",
+                          "--trials", trials, "--seed", "0")
+    assert status == 2
+    assert payload == {"error": "ValueError", "detail": "trials must be >= 1"}
 
 
 # -- montecarlo ---------------------------------------------------------------

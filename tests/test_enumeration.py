@@ -170,3 +170,36 @@ def test_pipeline_and_construct_reuse_their_verdicts(monkeypatch, capsys):
         assert cli.main(["construct", *argv, "--verify-qm", "--verify-mws"]) in (0, 1)
         assert len(calls) == passes
     capsys.readouterr()
+
+
+def no_supports(mask):
+    raise AssertionError("supports computed")
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_binary_codes_are_qm_without_supports(profile, monkeypatch):
+    code = make_code(2, profile)
+    spec = reference.spectrum(code)
+    assert reference.is_qm(code)
+    monkeypatch.setattr(codes, "_support_keys", no_supports)
+    calls = count_blocks(monkeypatch)
+    assert is_qm(code) is True and calls == []  # no enumeration at all
+    report = spectrum_report(code)
+    assert report["is_qm"] is True and len(calls) == 1
+    assert {int(w): a for w, a in report["counts"].items()} == spec
+
+
+def test_every_binary_code_is_qm():
+    # distinct nonzero binary words have distinct supports
+    for k in range(1, 5):
+        for n in range(k, 8):
+            for t in range(5):
+                code = random_code(2, k, n, trial_rng(n, t))
+                assert is_qm(code) is reference.is_qm(code) is True
+
+
+def test_binary_qm_needs_no_enumeration_guard():
+    code = identity_code(2, 30)  # 2^30 words, over the default guard
+    assert is_qm(code) is True
+    with pytest.raises(codes.EnumerationTooLargeError):
+        spectrum_report(code)
