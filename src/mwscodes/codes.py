@@ -21,13 +21,16 @@ Words come in blocks of at most BLOCK_ROWS rows (codeword_matrix): a larger
 code reuses the span of its last rows for every prefix of the leading ones.
 A block holds rows x n entries (x m digits when added digit by digit), one
 byte each while two of them sum below 256, plus the mask, weights and
-support keys made from it.  One pass over the blocks yields the weights,
-the supports or both.
+support keys made from it.
 
 The same functions take a stack of B generators, shape (k, B, n), as well
 as one (k, n) generator: the words then carry the candidate axis after the
-word axis, and one pass gives each candidate's weight histogram
-(_histograms).  Searches evaluate their candidates this way, B at a time.
+word axis.  One block loop (_tally) serves both, and one pass over the
+blocks gives each code's weight histogram, an offset bincount with n + 1
+bins per code, and with supports each code's number of distinct supports.
+A single code is a stack of one (_enumerate); searches stack their
+candidates B at a time (_histograms).  Only a code with multiplicities,
+whose weights can exceed n, counts its weights in a Counter instead.
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ class EnumerationTooLargeError(RuntimeError):
 
 class RankDeficientError(ValueError):
     """Raised when a generator matrix has rank below its number of rows."""
-
-
-def enumeration_guard() -> int:
-    return int(os.environ.get("MWSCODES_MAX_ENUM", DEFAULT_ENUM_GUARD))
 
 
 def gf_rank(fld: GF, rows: list[list[int]]) -> int:
@@ -336,21 +335,18 @@ class WeightSpectrum:
         return sum(self.counts.values())
 
 
-def _check_guard(q: int, k: int, guard: int | None):
-    limit = guard if guard is not None else enumeration_guard()
+def _check_guard(q: int, k: int):
+    limit = int(os.environ.get("MWSCODES_MAX_ENUM", DEFAULT_ENUM_GUARD))
     if q**k > limit:
         raise EnumerationTooLargeError(f"q^k = {q}**{k} exceeds enumeration guard {limit}")
 
 
-def _weights(code: LinearCode, mask: np.ndarray) -> list[int]:
-    """Weight of each word from its nonzero mask: a count for a plain code, an
-    int64 product while N < 2^62, Python integers beyond."""
-    if code.is_plain:
-        return mask.sum(axis=1).tolist()
-    mult = code.multiplicities
-    if code.effective_length < 2**62:
-        return (mask @ np.array(mult, dtype=np.int64)).tolist()
-    return [sum(m for m, s in zip(mult, row) if s) for row in mask.tolist()]
+def _weights(multiplicities, mask: np.ndarray) -> list[int]:
+    """Weight of each word, the sum of m_i over its support, from its nonzero
+    mask: an int64 product while N < 2^62, Python integers beyond."""
+    if sum(multiplicities) < 2**62:
+        return (mask @ np.array(multiplicities, dtype=np.int64)).tolist()
+    return [sum(m for m, s in zip(multiplicities, row) if s) for row in mask.tolist()]
 
 
 def _support_keys(mask: np.ndarray) -> np.ndarray:
@@ -381,78 +377,99 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
     return np.bincount(ids[new], minlength=count)
 
 
-def _enumerate(code: LinearCode, guard: int | None, weights: bool, supports: bool):
-    """One pass over the projective words: (spectrum or None, whether the
-    supports are pairwise distinct or None)."""
-    q, k = code.q, code.k
-    _check_guard(q, k, guard)
-    counts: Counter[int] = Counter()
+def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
+    """One pass over the enumeration blocks of a stack of codes of shape
+    (k, B, n), each block (words, B, n) field elements: (weights, distinct).
+    blocks is a lazy iterator, so no block is built before the guard passes.
+
+    weights counts each code's words by weight, shape (B, n + 1).  Bin 0 is
+    empty exactly for a full-rank code; such a code is MWS when no bin
+    exceeds 1, and its minimum distance is its first nonzero bin.  For one
+    code with multiplicities, whose weights can exceed n, weights is instead
+    a Counter of its words' weights (_weights).  distinct is the number of
+    distinct supports of each code, or None without supports."""
+    k, count, n = shape
+    _check_guard(fld.q, k)
+    if multiplicities:
+        weights = Counter()
+    else:
+        weights = np.zeros((count, n + 1), dtype=np.int64)
+        offsets = (n + 1) * np.arange(count)
     keys = []
-    for block in range(_block_count(q, k)):
-        mask = codeword_matrix(code, block) != 0
-        if weights:
-            counts.update(_weights(code, mask))
+    for words in blocks:
+        mask = words != 0
+        if multiplicities:
+            weights.update(_weights(multiplicities, mask[:, 0]))
+        else:
+            flat = np.bincount((mask.sum(axis=2) + offsets).ravel(), minlength=weights.size)
+            weights += flat.reshape(count, n + 1)
         if supports:
             keys.append(_support_keys(mask))
-    spec = distinct = None
-    if weights:
-        spec = WeightSpectrum({w: c * (q - 1) for w, c in sorted(counts.items())})
-    if supports:
-        distinct = int(_distinct_rows(np.concatenate(keys)[:, None])[0]) == \
-            projective_representative_count(q, k)
-    return spec, distinct
+    return weights, _distinct_rows(np.concatenate(keys)) if supports else None
+
+
+def _enumerate(code: LinearCode, supports: bool):
+    """One pass over the code's projective words, a stack of one whose blocks
+    come from codeword_matrix: (its _tally weights, whether the supports are
+    pairwise distinct, or None without supports)."""
+    q, k = code.q, code.k
+    blocks = (codeword_matrix(code, block)[:, None] for block in range(_block_count(q, k)))
+    weights, distinct = _tally(code.field, (k, 1, code.n), blocks, supports,
+                               None if code.is_plain else code.multiplicities)
+    if distinct is not None:
+        distinct = int(distinct[0]) == projective_representative_count(q, k)
+    return weights, distinct
+
+
+def _spectrum(code: LinearCode, weights) -> WeightSpectrum:
+    """The spectrum from _enumerate's weights, a histogram row for a plain
+    code and a Counter otherwise; each count scales by q - 1."""
+    pairs = enumerate(weights[0].tolist()) if code.is_plain else sorted(weights.items())
+    return WeightSpectrum({w: c * (code.q - 1) for w, c in pairs if c})
 
 
 def _histograms(fld: GF, stack: np.ndarray, supports: bool):
-    """One pass over the plain codes stacked in stack (k, B, n): their
-    projective words counted by weight, (B, n + 1), and with supports the
-    number of distinct supports of each (else None).  Bin 0 is empty exactly
-    for a full-rank code; such a code is MWS when no bin exceeds 1, and its
-    minimum distance is its first nonzero bin."""
-    k, count, n = stack.shape
-    _check_guard(fld.q, k, None)
-    layout = _stack_layout(fld, stack)
-    offsets = (n + 1) * np.arange(count)
-    hist = np.zeros(count * (n + 1), dtype=np.int64)
-    keys = []
-    for block in range(_block_count(fld.q, k)):
-        mask = _block(fld, layout, block) != 0
-        hist += np.bincount((mask.sum(axis=2) + offsets).ravel(), minlength=len(hist))
-        if supports:
-            keys.append(_support_keys(mask))
-    return hist.reshape(count, n + 1), _distinct_rows(np.concatenate(keys)) if supports else None
+    """_tally over the plain codes stacked in stack (k, B, n)."""
+    def blocks():
+        layout = _stack_layout(fld, stack)
+        for block in range(_block_count(fld.q, len(stack))):
+            yield _block(fld, layout, block)
+
+    return _tally(fld, stack.shape, blocks(), supports)
 
 
-def weight_spectrum(code: LinearCode, guard: int | None = None) -> WeightSpectrum:
+def weight_spectrum(code: LinearCode) -> WeightSpectrum:
     """Exact spectrum over all q^k - 1 nonzero codewords.
 
     Scalar multiples of a word share weight and support, so only one
     representative per 1-dimensional subspace is enumerated and each count
-    scales by q - 1.
+    scales by q - 1.  A plain code's words are counted in an (n + 1)-bin
+    histogram (_tally); only a code with multiplicities collects its
+    weights one by one.
     """
-    return _enumerate(code, guard, weights=True, supports=False)[0]
+    return _spectrum(code, _enumerate(code, supports=False)[0])
 
 
-def is_mws(code: LinearCode, guard: int | None = None) -> bool:
+def is_mws(code: LinearCode) -> bool:
     """True iff linearly independent codewords always have distinct weights,
     i.e. L reaches its ceiling (q^k - 1)/(q - 1)."""
-    spec = weight_spectrum(code, guard)
+    spec = weight_spectrum(code)
     return spec.L == projective_representative_count(code.q, code.k)
 
 
-def mws_criterion_sum(code: LinearCode, guard: int | None = None) -> int:
+def mws_criterion_sum(code: LinearCode) -> int:
     """The collision statistic sum_w A_w (A_w - (q-1)); 0 for an MWS code."""
-    spec = weight_spectrum(code, guard)
+    spec = weight_spectrum(code)
     q1 = code.q - 1
     return sum(a * (a - q1) for a in spec.counts.values())
 
 
-def is_mws_lemma(code: LinearCode, guard: int | None = None) -> bool:
+def is_mws_lemma(code: LinearCode) -> bool:
     """MWS via the quadratic criterion: the collision sum < 2(q-1)^2."""
-    return mws_criterion_sum(code, guard) < 2 * (code.q - 1) ** 2
+    return mws_criterion_sum(code) < 2 * (code.q - 1) ** 2
 
 
-def is_qm(code: LinearCode, guard: int | None = None) -> bool:
+def is_qm(code: LinearCode) -> bool:
     """True iff linearly independent codewords always have distinct supports.
 
     Supports of all projective representatives are collected and counted;
@@ -460,32 +477,33 @@ def is_qm(code: LinearCode, guard: int | None = None) -> bool:
     GF(2) distinct nonzero words have distinct supports, so every binary
     code is QM and nothing is enumerated.
     """
-    return code.q == 2 or _enumerate(code, guard, weights=False, supports=True)[1]
+    return code.q == 2 or _enumerate(code, supports=True)[1]
 
 
-def qm_sufficient_dn(code: LinearCode, guard: int | None = None) -> bool:
+def qm_sufficient_dn(code: LinearCode) -> bool:
     """Sufficient condition for QM: d/N > (q-2)/(q-1), compared exactly.
 
     False only means the shortcut gives no guarantee; the code may still
     be QM.
     """
-    spec = weight_spectrum(code, guard)
+    spec = weight_spectrum(code)
     q = code.q
     return spec.d * (q - 1) > (q - 2) * code.effective_length
 
 
-def qm_sufficient_dD(code: LinearCode, guard: int | None = None) -> bool:
+def qm_sufficient_dD(code: LinearCode) -> bool:
     """Sharper sufficient condition for QM: d/D > (q-2)/(q-1), exact."""
-    spec = weight_spectrum(code, guard)
+    spec = weight_spectrum(code)
     q = code.q
     return spec.d * (q - 1) > (q - 2) * spec.D
 
 
-def spectrum_report(code: LinearCode, guard: int | None = None) -> dict:
+def spectrum_report(code: LinearCode) -> dict:
     """JSON-ready summary: lengths, spectrum, and both predicates, from one
-    pass over the projective words (weights only for a binary code, which is
-    always QM; see is_qm)."""
-    spec, qm = _enumerate(code, guard, weights=True, supports=code.q > 2)
+    pass over the projective words that counts the weights and, unless the
+    code is binary and so always QM (see is_qm), compares the supports."""
+    weights, qm = _enumerate(code, supports=code.q > 2)
+    spec = _spectrum(code, weights)
     return {
         "q": code.q,
         "k": code.k,

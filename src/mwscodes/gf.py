@@ -37,39 +37,26 @@ def _prime_power_decomposition(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, p prime, or raise NotPrimePowerError."""
     if q < 2:
         raise NotPrimePowerError(f"field order must be >= 2, got {q}")
-    n = q
-    p = None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            p = d
-            while n % d == 0:
-                n //= d
-            break
-        d += 1
-    if p is None:
-        p = q  # q itself is prime
-        n = 1
-    if n != 1:
-        raise NotPrimePowerError(f"{q} is not a prime power")
-    m = 0
-    n = q
-    while n > 1:
+    p, n, m = _prime_factors(q, most=1)[0], q, 0
+    while n % p == 0:
         n //= p
         m += 1
+    if n != 1:  # a second prime factor, left unsearched
+        raise NotPrimePowerError(f"{q} is not a prime power")
     return p, m
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, by trial division."""
+def _prime_factors(n: int, most: int | None = None) -> list[int]:
+    """The distinct prime factors of n >= 1 in increasing order, by trial
+    division; with most, only the first `most` of them."""
     factors, d = [], 2
-    while d * d <= n:
+    while d * d <= n and len(factors) != most:
         if n % d == 0:
             factors.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    return factors + ([n] if n > 1 else [])
+    return factors + ([n] if n > 1 and len(factors) != most else [])
 
 
 # -- polynomial helpers over GF(p), coefficients little-endian ----------------

@@ -2,9 +2,9 @@
 
 Random, exhaustive and GV searches share one candidate scan, _scan_chunk,
 which returns the first accepted candidate of an index range.  Search and
-Monte-Carlo share one runner, _run_chunks, which splits the index space into
-chunks, runs them in order or in a process pool, and for a search stops at
-the first chunk with a witness, cancelling the chunks after it.
+Monte-Carlo share one runner, _run_chunks, which runs the index space as one
+task, or in chunks in a process pool, where a search stops at the first
+chunk with a witness and cancels the chunks after it.
 
 A scan stacks its candidates in batches (_candidates) and reads each
 verdict off the candidate's weight histogram, or its supports for QM over
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .codes import (
     is_mws,
     is_qm,
     projective_representative_count,
-    qm_sufficient_dn,
 )
 from .gf import build_field
 from .matrixio import dumps_code, loads_code
@@ -179,25 +178,13 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
         lo, size = top, min(2 * size, most)
 
 
-def _accepts(target: str, code: LinearCode):
-    """Truthy when code has the target property.  "gv" asks for a QM code
-    and returns the check that accepted it: the cheap d/N condition first,
-    then the full support comparison."""
-    if target == "mws":
-        return is_mws(code)
-    if target == "qm":
-        return is_qm(code)
-    if qm_sufficient_dn(code):
-        return "sufficient_dn"
-    return "support_check" if is_qm(code) else None
-
-
 def _scan_chunk(args) -> tuple[int, str, bool | str] | None:
     """Scan candidates lo..hi-1 and return (index, matrix text, acceptance)
-    for the first accepted one, or None.  The verdicts are _accepts', read
-    off each batch's histograms: MWS when no bin holds two words, QM when
-    the supports are distinct (always over GF(2)), and for "gv" the d/N
-    condition on the first nonzero bin before the supports."""
+    for the first accepted one, or None.  The verdicts are read off each
+    batch's histograms: MWS when no bin holds two words, QM when the
+    supports are distinct (always over GF(2)), and for "gv", which asks for
+    a QM code and says which check accepted it, the d/N condition on the
+    first nonzero bin before the supports."""
     q, k, n, mode, seed, target, lo, hi = args
     supports = target != "mws" and q > 2
     ceiling = projective_representative_count(q, k)
@@ -219,23 +206,19 @@ def _scan_chunk(args) -> tuple[int, str, bool | str] | None:
 
 
 def _run_chunks(worker, args, total: int, workers: int, stop=None) -> list:
-    """Run worker((*args, lo, hi)) over about 4 chunks per worker of
-    range(total), in a process pool when workers > 1.
+    """Run worker((*args, lo, hi)) over range(total): as one task when
+    workers <= 1, else over about 4 chunks per worker in a process pool.
 
     Results come in chunk order, up to and including the first one for which
     stop holds; the chunks after it are cancelled.  Because pool.map yields
     in chunk order, the first stopping chunk is the same for any worker
     count.
     """
-    size = max(1, math.ceil(total / max(workers, 1) / 4))
+    if workers <= 1 or total <= 1:
+        return [worker((*args, 0, total))]
+    size = math.ceil(total / workers / 4)
     tasks = [(*args, lo, min(lo + size, total)) for lo in range(0, total, size)]
     results = []
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            results.append(worker(task))
-            if stop is not None and stop(results[-1]):
-                break
-        return results
     with _process_pool(workers) as pool:
         for result in pool.map(worker, tasks):
             results.append(result)
@@ -279,7 +262,7 @@ def search(config: SearchConfig) -> dict:
 
 def _witness_entry(matrix_text: str, target: str) -> dict:
     code = loads_code(matrix_text)
-    if not _accepts(target, code):
+    if not (is_mws if target == "mws" else is_qm)(code):
         raise AssertionError("witness failed re-verification from serialized form")
     return {
         "matrix": matrix_text,
@@ -384,19 +367,7 @@ class ExpectationEstimate:
     wall_clock_seconds: float = field(compare=False, default=0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "bound": self.bound,
-            "bound_exact": self.bound_exact,
-            "mws_fraction": self.mws_fraction,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return asdict(self)
 
 
 def estimate_expectation(

@@ -166,12 +166,6 @@ def test_spectrum_stair():
     assert spec.L == 3
 
 
-def test_spectrum_guard():
-    code = identity_code(2, 5)
-    with pytest.raises(EnumerationTooLargeError):
-        weight_spectrum(code, guard=16)
-
-
 def test_spectrum_guard_env_override(monkeypatch):
     monkeypatch.setenv("MWSCODES_MAX_ENUM", "16")
     with pytest.raises(EnumerationTooLargeError):

@@ -147,6 +147,8 @@ def test_golden_payload(index, tmp_path):
 
 def _schema_name(argv: list[str]) -> str | None:
     """The schema a command's JSON payload follows, if one covers it."""
+    if argv[0] == "verify" or (argv[0] == "construct" and argv[1] != "embed"):
+        return "spectrum_report"
     if argv[0] == "search":
         return "gv_search_report" if "--gv" in argv else "search_report"
     if argv[0] == "montecarlo":
@@ -162,14 +164,16 @@ def test_golden_payloads_follow_their_schemas():
     checked = 0
     for golden in _golden():
         name = _schema_name(golden["argv"])
-        if golden["exit"] != 0 or name is None:
+        if golden["exit"] not in (0, 1) or name is None:  # 1: a verdict failed
             continue
         schema = json.loads((SCHEMAS / f"{name}.schema.json").read_text())
         with _unlimited_int_str():  # bounds cells past 4300 digits
             payload = json.loads(golden["stdout"])
         jsonschema.validate(payload, schema)
         checked += 1
-    assert checked == 17  # 11 search (3 GV), 3 montecarlo, 3 JSON bounds
+    # 24 verify, 12 construct (simplex, identity, repetition), 11 search
+    # (3 GV), 3 montecarlo, 3 JSON bounds
+    assert checked == 53
 
 
 if __name__ == "__main__":

@@ -213,6 +213,21 @@ def test_search_cancels_chunks_after_the_witness(monkeypatch):
     assert len(pool.cancelled) == 7 and pool.cancelled[-1] == (5747, 6561)
 
 
+def test_serial_runs_call_the_worker_once_per_range(monkeypatch):
+    # one worker scans each length, and draws all samples, in a single task
+    search_mod = importlib.import_module("mwscodes.search")
+    tasks = []
+    for name in ("_scan_chunk", "_expectation_chunk"):
+        def recording(args, real=getattr(search_mod, name)):
+            tasks.append(args[-2:])
+            return real(args)
+
+        monkeypatch.setattr(search_mod, name, recording)
+    search(SearchConfig(q=2, k=3, n_lo=6, n_hi=7, mode="exhaustive"))
+    estimate_expectation(2, 2, 5, samples=300, seed=1)
+    assert tasks == [(0, 2**9), (0, 2**12), (0, 300)]
+
+
 def test_search_skips_lengths_below_k():
     report = search(SearchConfig(q=2, k=3, n_lo=2, n_hi=3, mode="exhaustive"))
     assert report["lengths"][0]["skipped"] == "n < k"
