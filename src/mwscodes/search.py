@@ -15,8 +15,11 @@ Determinism contract: every trial derives its RNG purely from (seed, trial
 index), and witness selection always picks the smallest successful index.
 Reports are therefore byte-identical for any worker count and any chunking
 of the trial space.  Trial i's code is the first full-rank matrix among the
-draws of trial_rng(seed, i) (_draws), so each trial pays for creating its
-RNG, about 20 us, whatever the batch size.
+draws of trial_rng(seed, i) (_draws).  The scans do not create that RNG:
+_trial_draws computes the same draws for a whole batch of trials with
+integer array arithmetic, and only a trial it cannot compute exactly (a
+rejected word in numpy's bounded draw, or an index of 2^32 or more) goes
+through trial_rng.
 
 Exhaustive mode enumerates systematic generators [I | A] only.  Every
 full-rank code is permutation-equivalent to a systematic one and coordinate
@@ -27,6 +30,7 @@ has rank k by construction, so these candidates need no rank test.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -93,6 +97,10 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "random" and self.trials < 1:
             raise ValueError("random mode needs trials >= 1")
+        if self.mode == "random":
+            _check_seed(self.seed)  # exhaustive mode reads no seed
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -107,14 +115,151 @@ def _draws(q: int, k: int, n: int, rng: np.random.Generator):
         yield rng.integers(0, q, size=(k, n))
 
 
+# _trial_draws replays trial_rng's generator as integer array arithmetic.
+# These are fixed parts of the algorithms it replays: numpy's SeedSequence
+# hash constants and the PCG64 multiplier.
+_M32 = 0xFFFFFFFF
+_M64 = 2**64 - 1
+_ENTROPY_HASH = (0x43B0D7E5, 0x931E8875)  # mixing entropy in: initial value, multiplier
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_chain(start: int, mult: int, count: int) -> np.ndarray:
+    """The count + 1 hash constants start * mult^i mod 2^32, as uint32."""
+    chain = [start]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _M32)
+    return np.array(chain, dtype=np.uint32)
+
+
+_STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's, for 8 words
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # as numpy's SeedSequence says
+
+
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
+    """SeedSequence(entropy=seed, spawn_key=(t,))'s 4-word pool before the
+    spawn word t is mixed in, and the hash constant at that point.  Spawn
+    keys pad the seed's 32-bit words with zeros to the pool size; the first
+    four words fill the pool, every word is mixed into every other, and
+    words past the fourth are mixed in after that."""
+    _check_seed(seed)
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    h = _ENTROPY_HASH[0]
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * _ENTROPY_HASH[1] & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return np.array(pool, dtype=np.uint32), h
+
+
+def _mul128(xh, xl, ah, al):
+    """(xh, xl) * (ah, al) mod 2^128 on uint64 (high, low) halves; the low
+    halves' full product goes through 32-bit limbs."""
+    x0, x1 = xl & _M32, xl >> 32
+    a0, a1 = al & _M32, al >> 32
+    p00, p01, p10 = x0 * a0, x0 * a1, x1 * a0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    high = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + xh * al + xl * ah
+    return high, xl * al
+
+
+def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
+    """Draw r of each trial, next(islice(_draws(q, k, n, trial_rng(seed, t)),
+    r, None)), for all trials t at once: (matrices (B, k, n), mask of the
+    trials not computed, which the caller draws through trial_rng).
+
+    The steps replay numpy exactly.  SeedSequence hashes the seed's words
+    into a pool (_seed_pool, once) and each trial's spawn word into it, and
+    generates 8 words: PCG64's initial state s and sequence.  PCG64 seeds
+    its LCG x -> M x + c, c = 2 sequence + 1, by one step from 0, adding s
+    and one more step, so its m-th output comes from M^(m+2) (s + c) +
+    (sum_{i<m+2} M^i) c mod 2^128, computed for every m at once, through
+    the XSL-RR output; each 64-bit output gives two 32-bit words, low half
+    first.  integers(0, q) maps word u to u q >> 32, but rejects u when
+    u q mod 2^32 < 2^32 mod q (never for q a power of 2): the draw holds
+    words r k n .. (r + 1) k n - 1 only when no earlier word was rejected.
+    A trial with a rejected word, or an index of 2^32 or more (two spawn
+    words), is left to the caller.  Trials are taken in slices so that no
+    array exceeds one enumeration block, BLOCK_ROWS x n entries.
+    """
+    pool, h = _seed_pool(seed)
+    spawn = _hash_chain(h, _ENTROPY_HASH[1], 4)
+    trials = np.asarray(trials, dtype=np.int64)
+    kn = k * n
+    reject = 2**32 % q
+    first = 0 if reject else r * kn  # the words to check or read
+    m0, m1 = first // 2, ((r + 1) * kn + 1) // 2  # the 64-bit outputs holding them
+    a, c, jumps = 1, 0, []
+    for m in range(m1 + 2):
+        if m >= m0 + 2:
+            jumps.append([[a >> 64, c >> 64], [a & _M64, c & _M64]])
+        a, c = a * _PCG_MULT % 2**128, (c * _PCG_MULT + 1) % 2**128
+    jh, jl = np.array(jumps, dtype=np.uint64).transpose(1, 2, 0)  # (2, J) each: M^j, sum M^i
+
+    gens = np.empty((len(trials), k, n), dtype=np.int64)
+    slow = trials >> 32 != 0
+    step = max(1, codes.BLOCK_ROWS * n // (2 * len(jumps)))
+    for lo in range(0, len(trials), step):
+        part = slice(lo, lo + step)
+        # the spawn word into the pool, then the pool into 8 state words;
+        # uint32 arithmetic wraps mod 2^32 as SeedSequence's does
+        v = ((trials[part, None] & _M32).astype(np.uint32) ^ spawn[:-1]) * spawn[1:]
+        v ^= v >> 16
+        v = _MIX_L * pool - _MIX_R * v
+        v ^= v >> 16
+        v = (np.concatenate([v, v], axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+        v ^= v >> 16
+        words = v.astype("<u4").view("<u8").astype(np.uint64)  # s high, s low, seq high, low
+        inc_h = words[:, 2:3] << 1 | words[:, 3:4] >> 63
+        inc_l = words[:, 3:4] << 1 | 1
+        x_l = inc_l + words[:, 1:2]
+        x_h = inc_h + words[:, 0:1] + (x_l < inc_l)
+        # every output state at once: M^j (s + c) + (sum_{i<j} M^i) c
+        high, low = _mul128(np.concatenate([x_h, inc_h], axis=1)[:, :, None],
+                            np.concatenate([x_l, inc_l], axis=1)[:, :, None], jh, jl)
+        low_sum = low[:, 0] + low[:, 1]
+        high = high[:, 0] + high[:, 1] + (low_sum < low[:, 0])
+        v, rot = high ^ low_sum, high >> 58
+        out = v >> rot | v << (-rot & 63)
+        stream = out.astype("<u8").view("<u4")  # each output's low half first
+        scaled = stream[:, first - 2 * m0:(r + 1) * kn - 2 * m0].astype(np.uint64) * q
+        if reject:
+            slow[part] |= ((scaled & _M32) < reject).any(axis=1)
+        gens[part] = (scaled[:, -kn:] >> 32).reshape(-1, k, n)
+    return gens, slow
+
+
 def random_code(q: int, k: int, n: int, rng: np.random.Generator) -> LinearCode:
     """A uniformly random full-rank k x n generator matrix over GF(q).
 
     Entries are i.i.d. uniform; rank-deficient draws are rejected, which
     leaves the uniform distribution on full-rank matrices.  Zero columns are
     allowed (the uniform model includes them).  Each draw is ranked once, by
-    LinearCode's own check.  The search scans draw the same matrices
-    (_draws) and rank them from their weight histograms instead.
+    LinearCode's own check.  The search scans use the same matrices, which
+    _trial_draws computes for many trials at once without creating their
+    RNGs, and rank them from their weight histograms instead.
     """
     if n < k:
         raise ValueError("need n >= k for a full-rank k x n matrix")
@@ -144,36 +289,41 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
     up to BLOCK_ROWS projective words, so that an early witness costs little.
 
     Candidate i is trial i's code in random mode and the i-th systematic
-    generator in exhaustive mode.  A rank-deficient draw (bin 0 not empty)
-    is replaced by replaying its trial's RNG: the batch's deficient trials
-    draw again together until each has full rank."""
+    generator in exhaustive mode.  Random draws come from _trial_draws, and
+    from trial_rng for the trials it leaves out.  A rank-deficient draw (bin
+    0 not empty) is replaced by its trial's next draw: the batch's deficient
+    trials draw again together until each has full rank."""
     if k < 1:
         raise ValueError("generator needs at least one row")
     if n < k:
         raise ValueError("need n >= k for a full-rank k x n matrix")
     fld = build_field(q)
+
+    def draw(trials, r):
+        gens, slow = _trial_draws(seed, trials, r, q, k, n)
+        for j in np.flatnonzero(slow):
+            rng = trial_rng(seed, int(trials[j]))
+            gens[j] = next(itertools.islice(_draws(q, k, n, rng), r, None))
+        return gens
+
     most = max(1, codes.BLOCK_ROWS // projective_representative_count(q, k))
     size = 1
     while lo < hi:
         top = min(lo + size, hi)
         if mode == "random":
-            gens = np.stack([next(_draws(q, k, n, trial_rng(seed, i))) for i in range(lo, top)])
+            gens = draw(np.arange(lo, top), 0)
         else:
             gens = _systematic(q, k, n, lo, top)
         hist, distinct = _histograms(fld, gens.transpose(1, 0, 2), supports)
-        replays = {}
-        for j in np.flatnonzero(hist[:, 0]) if mode == "random" else ():
-            replays[j] = _draws(q, k, n, trial_rng(seed, lo + j))
-            next(replays[j])  # the rank-deficient draw
-        while replays:  # one pass per round of redraws
-            redrawn = list(replays)
-            gens[redrawn] = [next(replays[j]) for j in redrawn]
+        redrawn = np.flatnonzero(hist[:, 0]) if mode == "random" else ()
+        r = 0
+        while len(redrawn):  # one pass per round of redraws
+            r += 1
+            gens[redrawn] = draw(lo + redrawn, r)
             hist[redrawn], found = _histograms(fld, gens[redrawn].transpose(1, 0, 2), supports)
             if supports:
                 distinct[redrawn] = found
-            for j in redrawn:
-                if not hist[j, 0]:
-                    del replays[j]
+            redrawn = redrawn[hist[redrawn, 0] > 0]
         yield lo, gens, hist, distinct
         lo, size = top, min(2 * size, most)
 
@@ -207,7 +357,8 @@ def _scan_chunk(args) -> tuple[int, str, bool | str] | None:
 
 def _run_chunks(worker, args, total: int, workers: int, stop=None) -> list:
     """Run worker((*args, lo, hi)) over range(total): as one task when
-    workers <= 1, else over about 4 chunks per worker in a process pool.
+    workers is 1, else over about 4 chunks per worker in a pool of at most
+    one process per chunk.
 
     Results come in chunk order, up to and including the first one for which
     stop holds; the chunks after it are cancelled.  Because pool.map yields
@@ -219,7 +370,7 @@ def _run_chunks(worker, args, total: int, workers: int, stop=None) -> list:
     size = math.ceil(total / workers / 4)
     tasks = [(*args, lo, min(lo + size, total)) for lo in range(0, total, size)]
     results = []
-    with _process_pool(workers) as pool:
+    with _process_pool(min(workers, len(tasks))) as pool:
         for result in pool.map(worker, tasks):
             results.append(result)
             if stop is not None and stop(result):
@@ -378,6 +529,9 @@ def estimate_expectation(
     q^{2k-2n} sum_w C(n,w)^2 (q-1)^{2w}."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_seed(seed)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     t0 = time.monotonic()
     results = _run_chunks(_expectation_chunk, (q, k, n, seed), samples, workers)
     total = sum(r[0] for r in results)

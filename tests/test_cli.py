@@ -174,6 +174,41 @@ def test_search_gv_rejects_fewer_than_one_trial(capsys, trials):
     assert payload == {"error": "ValueError", "detail": "trials must be >= 1"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "3", "--k", "2", "--n", "5", "--trials", "3", "--seed", "1",
+     "--workers", "0"],
+    ["search", "--q", "3", "--k", "2", "--n", "5", "--mode", "exhaustive", "--workers", "-1"],
+    ["montecarlo", "--q", "3", "--k", "2", "--n", "5", "--samples", "3", "--seed", "1",
+     "--workers", "-2"],
+])
+def test_search_and_montecarlo_reject_fewer_than_one_worker(capsys, argv):
+    status, payload = run(capsys, *argv)
+    assert status == 2
+    assert payload == {"error": "ValueError", "detail": "workers must be >= 1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "3", "--k", "2", "--n", "5", "--trials", "3", "--workers", "2"],
+    ["search", "--q", "3", "--k", "2", "--gv", "--trials", "3"],
+    ["montecarlo", "--q", "3", "--k", "2", "--n", "5", "--samples", "3", "--workers", "2"],
+])
+def test_negative_seed_is_refused_before_any_draw(capsys, monkeypatch, argv):
+    # numpy's SeedSequence message; no chunk runs and no pool starts
+    search_mod = importlib.import_module("mwscodes.search")
+    monkeypatch.setattr(search_mod, "_process_pool", None)
+    monkeypatch.setattr(search_mod, "_draws", None)
+    status, payload = run(capsys, *argv, "--seed", "-5")
+    assert status == 2
+    assert payload == {"error": "ValueError", "detail": "expected non-negative integer"}
+
+
+def test_exhaustive_search_ignores_a_negative_seed(capsys):
+    status, payload = run(capsys, "search", "--q", "3", "--k", "2", "--n", "5",
+                          "--mode", "exhaustive", "--seed", "-5")
+    assert status == 0
+    assert payload["seed"] is None
+
+
 # -- montecarlo ---------------------------------------------------------------
 
 def test_montecarlo(capsys):

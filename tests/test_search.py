@@ -177,6 +177,7 @@ class RecordingPool:
     last = None
 
     def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.pending, self.ran, self.cancelled = [], [], []
         RecordingPool.last = self
 
@@ -211,6 +212,16 @@ def test_search_cancels_chunks_after_the_witness(monkeypatch):
     # in the first, so the other seven are cancelled without running
     assert pool.ran == [(0, 821)]
     assert len(pool.cancelled) == 7 and pool.cancelled[-1] == (5747, 6561)
+
+
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+    # 3 trials on 8 workers make 3 one-trial chunks, so 3 processes suffice
+    search_mod = importlib.import_module("mwscodes.search")
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+    search(SearchConfig(q=3, k=2, n_lo=5, n_hi=5, trials=3, seed=1, workers=8))
+    pool = RecordingPool.last
+    assert pool.ran == [(0, 1), (1, 2), (2, 3)]
+    assert pool.max_workers == 3
 
 
 def test_serial_runs_call_the_worker_once_per_range(monkeypatch):
