@@ -7,7 +7,8 @@ tool composes in pipelines.  Exit statuses:
     1  a requested verification predicate returned false
     2  invalid input
     3  a resource guard tripped
-    4  internal error (a bug: an unexpected exception)
+    4  internal error (a bug: an unexpected exception), or stdout was
+       closed before the payload was written (a broken pipe)
 
 Subcommands: construct, verify, search, montecarlo, bounds, field-info.
 """
@@ -19,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 import traceback
 
@@ -263,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=10_000)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--workers", type=int, default=1,
-                   help="worker processes for random and exhaustive search; --gv runs serially")
+                   help="worker processes for random and exhaustive search, started only for "
+                        "a space of more than one full enumeration batch; --gv runs serially")
     s.add_argument("--gv", action="store_true",
                    help="QM search at the GV-type length ceil(k*lambda_q)")
     s.add_argument("--witness-out", default=None)
@@ -275,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--samples", type=int, default=20_000)
     m.add_argument("--seed", type=int, default=None)
-    m.add_argument("--workers", type=int, default=1)
+    m.add_argument("--workers", type=int, default=1,
+                   help="worker processes, started only for more than one full "
+                        "enumeration batch of samples")
     m.set_defaults(func=cmd_montecarlo)
 
     b = sub.add_parser("bounds", help="bound tables over a (q, k) grid")
@@ -295,7 +300,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        status = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader is gone: write nothing more to stdout, and point its fd
+        # at devnull so that the interpreter's final flush does not raise.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()  # an in-memory stdout has none
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        _diag("stdout closed before the payload was written")
+        return EXIT_INTERNAL
+
+
+def _run(args) -> int:
+    try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # for main: the handlers below would write to the closed stdout
     except (NotPrimePowerError, ValueError, FileNotFoundError,
             constructions.NotQuasiMinimalError) as exc:
         if isinstance(exc, constructions.NotQuasiMinimalError):

@@ -4,7 +4,10 @@ Random, exhaustive and GV searches share one candidate scan, _scan_chunk,
 which returns the first accepted candidate of an index range.  Search and
 Monte-Carlo share one runner, _run_chunks, which runs the index space as one
 task, or in chunks in a process pool, where a search stops at the first
-chunk with a witness and cancels the chunks after it.
+chunk with a witness and cancels the chunks after it.  A chunk is never
+smaller than one full enumeration batch (_full_batch), so a pool starts only
+when each chunk has that much work to pay for the pool's start; a smaller
+space runs in this process whatever the worker count.
 
 A scan stacks its candidates in batches (_candidates) and reads each
 verdict off the candidate's weight histogram, or its supports for QM over
@@ -282,6 +285,12 @@ def _systematic(q: int, k: int, n: int, lo: int, hi: int) -> np.ndarray:
     return gens
 
 
+def _full_batch(q: int, k: int) -> int:
+    """Candidates in one full batch of _candidates: BLOCK_ROWS projective
+    words, at least one candidate.  BLOCK_ROWS is read at call time."""
+    return max(1, codes.BLOCK_ROWS // projective_representative_count(q, k))
+
+
 def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
                 supports: bool):
     """Yield (first index, generators (B, k, n), histograms, distinct support
@@ -306,7 +315,7 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
             gens[j] = next(itertools.islice(_draws(q, k, n, rng), r, None))
         return gens
 
-    most = max(1, codes.BLOCK_ROWS // projective_representative_count(q, k))
+    most = _full_batch(q, k)
     size = 1
     while lo < hi:
         top = min(lo + size, hi)
@@ -356,18 +365,22 @@ def _scan_chunk(args) -> tuple[int, str, bool | str] | None:
 
 
 def _run_chunks(worker, args, total: int, workers: int, stop=None) -> list:
-    """Run worker((*args, lo, hi)) over range(total): as one task when
-    workers is 1, else over about 4 chunks per worker in a pool of at most
-    one process per chunk.
+    """Run worker((*args, lo, hi)) over range(total), where args begin with
+    q, k.  A chunk holds max(_full_batch(q, k), ceil(total / workers / 4))
+    indices, for about 4 chunks per worker, but never less than one full
+    batch, whose enumeration costs at least as much as starting a pool.  With one worker,
+    or when that leaves one chunk, the range runs in this process as one task
+    and no pool starts; else the chunks run in a pool of at most one process
+    per chunk, which is shut down before this returns.
 
     Results come in chunk order, up to and including the first one for which
     stop holds; the chunks after it are cancelled.  Because pool.map yields
     in chunk order, the first stopping chunk is the same for any worker
     count.
     """
-    if workers <= 1 or total <= 1:
+    size = max(_full_batch(*args[:2]), math.ceil(total / workers / 4))
+    if workers == 1 or size >= total:
         return [worker((*args, 0, total))]
-    size = math.ceil(total / workers / 4)
     tasks = [(*args, lo, min(lo + size, total)) for lo in range(0, total, size)]
     results = []
     with _process_pool(min(workers, len(tasks))) as pool:

@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from mwscodes import cli, gf
 from mwscodes.cli import main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -320,6 +323,50 @@ def test_internal_error_has_its_own_exit_status(capsys, monkeypatch):
     assert json.loads(out.out) == {
         "error": "AssertionError", "detail": "witness failed re-verification"}
     assert out.err.startswith("internal error: ")
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv,diagnosis", [
+    (["search", "--q", "3", "--k", "2", "--n", "5", "--mode", "exhaustive"], []),
+    # the invalid-input payload meets the closed pipe
+    (["field-info", "--q", "6"], ["invalid input: 6 is not a prime power"]),
+])
+def test_closed_stdout_is_written_once_and_not_a_failed_verification(
+        capsys, monkeypatch, argv, diagnosis):
+    stdout = ClosedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    status = main(argv)
+    assert status == cli.EXIT_INTERNAL
+    assert stdout.writes == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [*diagnosis, "stdout closed before the payload was written"]
+
+
+def test_pipe_closed_before_reading():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mwscodes.cli", "search", "--q", "3", "--k", "2", "--n", "5",
+         "--mode", "exhaustive"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    proc.stdout.close()  # before the interpreter has even imported numpy
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_INTERNAL
+    assert err == "stdout closed before the payload was written\n"
 
 
 # -- field-info ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Search machinery: determinism, exhaustive verdicts, Monte-Carlo estimates."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from mwscodes import (
     search,
     trial_rng,
 )
+from mwscodes import codes
+from mwscodes.cli import main
 from mwscodes.codes import gf_rank
 from mwscodes.gf import build_field
 
@@ -200,7 +203,22 @@ class RecordingPool:
             self.pending.clear()
 
 
-def test_search_cancels_chunks_after_the_witness(monkeypatch):
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Set codes.BLOCK_ROWS, which sets the size of a full batch and so how
+    small a space runs without a pool; the per-code layout cache is cleared
+    each time."""
+
+    def set_rows(rows):
+        monkeypatch.setattr(codes, "BLOCK_ROWS", rows)
+        codes._layout.cache_clear()
+
+    yield set_rows
+    codes._layout.cache_clear()
+
+
+def test_search_cancels_chunks_after_the_witness(monkeypatch, block_rows):
+    block_rows(4)  # a full batch of [n,2]_3 candidates is one candidate
     search_mod = importlib.import_module("mwscodes.search")
     config = dict(q=3, k=2, n_lo=6, n_hi=6, target="mws", mode="exhaustive")
     serial = _strip_clock(search(SearchConfig(**config)))
@@ -214,14 +232,82 @@ def test_search_cancels_chunks_after_the_witness(monkeypatch):
     assert len(pool.cancelled) == 7 and pool.cancelled[-1] == (5747, 6561)
 
 
-def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch, block_rows):
     # 3 trials on 8 workers make 3 one-trial chunks, so 3 processes suffice
+    block_rows(4)
     search_mod = importlib.import_module("mwscodes.search")
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
     search(SearchConfig(q=3, k=2, n_lo=5, n_hi=5, trials=3, seed=1, workers=8))
     pool = RecordingPool.last
     assert pool.ran == [(0, 1), (1, 2), (2, 3)]
     assert pool.max_workers == 3
+
+
+def _full_batch(q, k):
+    return max(1, codes.BLOCK_ROWS // ((q**k - 1) // (q - 1)))
+
+
+def _chunk(args):
+    return args[-2:]
+
+
+def test_a_range_of_one_full_batch_starts_no_pool(monkeypatch):
+    search_mod = importlib.import_module("mwscodes.search")
+
+    def no_pool(workers):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(search_mod, "_process_pool", no_pool)
+    for q, k in [(3, 2), (2, 3), (257, 2), (2, 20)]:
+        block = _full_batch(q, k)
+        for total in sorted({1, max(1, block // 2), block}):
+            for workers in (1, 2, 3, 8, 64):
+                assert search_mod._run_chunks(_chunk, (q, k), total, workers) == [(0, total)]
+    # the drivers pass their q and k: every space here is under one batch
+    search(SearchConfig(q=3, k=2, n_lo=5, n_hi=6, mode="exhaustive", workers=4))
+    search(SearchConfig(q=3, k=2, n_lo=6, n_hi=6, trials=3_000, seed=9, workers=2))
+    estimate_expectation(2, 2, 10, samples=2_000, seed=5, workers=3)
+
+
+@pytest.mark.parametrize("q,k", [(3, 2), (2, 3), (257, 2), (2, 20)])
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_a_range_over_one_full_batch_fans_out_in_full_batches(monkeypatch, q, k, workers):
+    search_mod = importlib.import_module("mwscodes.search")
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+    block = _full_batch(q, k)
+    for total in (block + 1, 3 * block, 40 * block + 7):
+        RecordingPool.last = None
+        chunks = search_mod._run_chunks(_chunk, (q, k), total, workers)
+        pool = RecordingPool.last
+        assert chunks == pool.ran and 1 < len(chunks) <= 4 * workers
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == total
+        assert all(hi - lo >= block for lo, hi in chunks[:-1])
+        assert pool.max_workers == min(workers, len(chunks))
+
+
+WALL_CLOCK = re.compile(r'^\s*"wall_clock_seconds":.*$', re.MULTILINE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "3", "--k", "2", "--n", "5..6", "--trials", "600", "--seed", "9"],
+    ["search", "--q", "3", "--k", "2", "--n", "5..6", "--mode", "exhaustive"],
+    ["montecarlo", "--q", "2", "--k", "2", "--n", "10", "--samples", "600", "--seed", "5"],
+])
+def test_real_pool_payloads_match_one_worker(capsys, monkeypatch, block_rows, argv):
+    # 16-word blocks make a full batch 4 or 5 candidates, so these spaces
+    # fan out to a real pool; its forked workers inherit the setting
+    block_rows(16)
+    search_mod = importlib.import_module("mwscodes.search")
+    real_pool, pools = search_mod._process_pool, []
+    monkeypatch.setattr(search_mod, "_process_pool",
+                        lambda workers: pools.append(workers) or real_pool(workers))
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(argv + ["--workers", workers]) == 0
+        outputs.append(WALL_CLOCK.sub("", capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert pools and set(pools) == {2}
 
 
 def test_serial_runs_call_the_worker_once_per_range(monkeypatch):
