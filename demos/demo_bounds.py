@@ -8,15 +8,17 @@ q = k = 2 the crossing happens exactly at n = 21; sampling confirms both the
 ceiling and a healthy fraction of MWS codes there.
 """
 
-from mwscodes import bounds_report, eqbound_value, estimate_expectation
+from mwscodes import bounds_table, eqbound_value, estimate_expectation
 
 
 def main():
     print("== bound table ==")
     header = f"{'q':>3} {'k':>3} {'lower':>6} {'exact':>6} {'gv_qm':>6} {'threshold_n':>12}"
     print(header)
-    for q, k in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)]:
-        rep = bounds_report(q, k)
+    # one threshold scan per q settles every k of that q
+    cells = bounds_table([2], [2, 3, 4]) + bounds_table([3], [2, 3]) + bounds_table([4, 5], [2])
+    for rep in cells:
+        q, k = rep.q, rep.k
         exact = rep.exact_length if rep.exact_length is not None else "-"
         thr = rep.eqbound_min_n if rep.eqbound_min_n is not None else ">cap"
         print(f"{q:>3} {k:>3} {rep.lower_bound_length:>6} {exact:>6} "

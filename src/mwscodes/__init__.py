@@ -9,6 +9,7 @@ from .bounds import (
     BoundsReport,
     binom_sq_sum,
     bounds_report,
+    bounds_table,
     entropy_q,
     eqbound_min_n,
     eqbound_value,

@@ -2,7 +2,9 @@
 
 Everything that feeds a pass/fail comparison is exact: length bounds use
 integer ceilings, and the random-coding threshold scan compares big integers
-at every step, with no float path.  Real-valued quantities (entropy, the two
+at every step, with no float path.  bounds_table assembles a (q, k) grid and
+runs one threshold scan per q, which settles every k of that q in a single
+pass over n.  Real-valued quantities (entropy, the two
 GV-type length factors) are returned as floats; the factor lambda_q is
 evaluated in high-precision arithmetic internally because
 1 - h_q((q-2)/(q-1)) underflows double precision already around q = 10^4.
@@ -11,10 +13,11 @@ evaluated in high-precision arithmetic internally because
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
-# bounds_report refuses a cell whose exact powers 2^e need more bits than
+# bounds_table refuses a cell whose exact powers 2^e need more bits than
 # this: printing 2**2**20 in decimal already takes about 2 s, and e grows like
 # k q^3 ln q (gv_qm_length) and like q^(k-1) (the simplex length).
 MAX_POWER_BITS = 2**20
@@ -137,28 +140,51 @@ def _binom_sq_sums(q: int, n: int):
         n += 1
 
 
+def _eqbound_scan(q: int, ks: Iterable[int], max_n: int | None) -> dict[int, int | None]:
+    """eqbound_min_n(q, k, max_n) for every k in ks, from one upward scan.
+
+    Each k is tested from max(k, 1) on; the scan starts at the smallest of
+    these and carries S_n and the right side as eqbound_min_n describes.  At
+    each n only the smallest pending k is tested: q^{2k} grows with k, so a
+    larger k fails wherever a smaller one does.  When it passes, the next k
+    is tested at the same n.  A k whose start lies above n waits until n
+    reaches it.  Once n >= max_n, every pending k whose start has been
+    reached gets None.
+    """
+    pending = sorted(set(ks))
+    starts = [max(k, 1) for k in pending]
+    scales = [q ** (2 * k) for k in pending]
+    found: dict[int, int | None] = {}
+    n = starts[0]
+    limit = 2 * (q - 1) ** 2 * q ** (2 * n)
+    i, m = 0, len(pending)
+    for s in _binom_sq_sums(q, n):
+        while i < m and starts[i] <= n and scales[i] * s < limit:
+            found[pending[i]] = n
+            i += 1
+        if max_n is not None and n >= max_n:
+            while i < m and starts[i] <= n:
+                found[pending[i]] = None
+                i += 1
+        if i == m:
+            return found
+        n += 1
+        limit *= q * q
+
+
 def eqbound_min_n(q: int, k: int, max_n: int | None = None) -> int | None:
     """Smallest n >= max(k, 1) with eqbound_value(q, k, n) < 2 (q-1)^2.
 
     Scans n upward from max(k, 1), carrying S_n = binom_sq_sum(n, q) by its
-    recurrence and q^{2n} as a running product, and settles each n with one
-    integer comparison q^{2k} S_n < 2 (q-1)^2 q^{2n}; no step is rounded.
-    The left side eventually decays like 1/sqrt(n), so the scan terminates,
-    but for large (q, k) only after very many steps: max_n caps it, and None
-    means the threshold was not reached by max_n.  The first n is always
-    tested, even when it exceeds max_n.
+    recurrence and the right side 2 (q-1)^2 q^{2n} as a running product, and
+    settles each n with one integer comparison q^{2k} S_n < 2 (q-1)^2 q^{2n};
+    no step is rounded.  The left side eventually decays like 1/sqrt(n), so
+    the scan terminates, but for large (q, k) only after very many steps:
+    max_n caps it, and None means the threshold was not reached by max_n.
+    The first n is always tested, even when it exceeds max_n.  This is one k
+    of the scan that bounds_table shares between all k of one q.
     """
-    threshold = 2 * (q - 1) ** 2
-    scale = q ** (2 * k)
-    n = max(k, 1)
-    q_2n = q ** (2 * n)
-    for s in _binom_sq_sums(q, n):
-        if scale * s < threshold * q_2n:
-            return n
-        if max_n is not None and n >= max_n:
-            return None
-        n += 1
-        q_2n *= q * q
+    return _eqbound_scan(q, [k], max_n)[k]
 
 
 @dataclass(frozen=True)
@@ -189,43 +215,65 @@ class BoundsReport:
         return d
 
 
-def bounds_report(q: int, k: int, eqbound_cap: int = 2000) -> BoundsReport:
-    """Assemble every bound for one (q, k) cell.
+def bounds_table(qs: Sequence[int], ks: Sequence[int],
+                 eqbound_cap: int = 2000) -> list[BoundsReport]:
+    """Assemble every bound for each (q, k) cell, q outer and k inner.
 
-    eqbound_cap limits the exact threshold scan; cells whose threshold lies
-    beyond the cap report None there.  A cell whose embedded lengths 2^e have
-    e > MAX_POWER_BITS raises PowerTooLargeError before anything is computed
-    in full.  The cap stays because thresholds grow
-    like q^{4k+2}: (9, 4) lies near n = 9e10, beyond any exact scan.  The
-    D_q figure is an asymptotic estimate only and never feeds a comparison.
+    Every cell's k and power limit are checked, in that order, before any
+    threshold is scanned: k < 1 raises ValueError, and a cell whose embedded
+    lengths 2^e have e > MAX_POWER_BITS raises PowerTooLargeError.  lambda_q,
+    mu_q and the eqbound_min_n thresholds are computed once per q, the
+    thresholds of all ks by one scan capped at eqbound_cap.  The cap stays
+    because thresholds grow like q^{4k+2}: (9, 4) lies near n = 9e10, beyond
+    any exact scan, and such cells report None.  The D_q figure is an
+    asymptotic estimate only and never feeds a comparison.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    lam = lambda_q(q)
-    mu = mu_q(q)
-    gv_len = math.ceil(k * lam)
-    simplex_len = (q**k - 1) // (q - 1)
-    exponent = max(gv_len, simplex_len - 1)
-    if exponent > MAX_POWER_BITS:
-        raise PowerTooLargeError(
-            f"(q, k) = ({q}, {k}) needs 2^{exponent}; exponents above "
-            f"MAX_POWER_BITS = {MAX_POWER_BITS} are refused")
-    return BoundsReport(
-        q=q,
-        k=k,
-        lower_bound_length=mws_lower_bound(q, k),
-        exact_length=exact_mws_length(q, k),
-        lambda_q=lam,
-        mu_q=mu,
-        gv_qm_length=gv_len,
-        nonconstructive_qm_length=math.ceil(k * mu),
-        embedded_length_gv=2**gv_len,
-        embedded_length_simplex=2 ** (simplex_len - 1),
-        eqbound_min_n=eqbound_min_n(q, k, max_n=eqbound_cap),
-        lambda_ratio=lam / (2 * q**3 * math.log(q)),
-        mu_ratio=mu / (q * math.log(q)),
-        lambda_over_mu_ratio=(lam / mu) / (2 * q**2),
-        limit_bracket=(1, 4),
-        d_q_estimate=q / (2 * (q - 1) ** 2.5),
-        d_q_note="approximate asymptotic estimate; not used in any comparison",
-    )
+    factors: dict[int, tuple[float, float]] = {}
+    cells = []
+    for q in qs:
+        for k in ks:
+            if k < 1:
+                raise ValueError(f"k must be >= 1, got {k}")
+            if q not in factors:
+                factors[q] = lambda_q(q), mu_q(q)
+            gv_len = math.ceil(k * factors[q][0])
+            simplex_len = (q**k - 1) // (q - 1)
+            exponent = max(gv_len, simplex_len - 1)
+            if exponent > MAX_POWER_BITS:
+                raise PowerTooLargeError(
+                    f"(q, k) = ({q}, {k}) needs 2^{exponent}; exponents above "
+                    f"MAX_POWER_BITS = {MAX_POWER_BITS} are refused")
+            cells.append((q, k, gv_len, simplex_len))
+    thresholds = {q: _eqbound_scan(q, ks, eqbound_cap) for q in factors}
+    reports = []
+    for q, k, gv_len, simplex_len in cells:
+        lam, mu = factors[q]
+        reports.append(BoundsReport(
+            q=q,
+            k=k,
+            lower_bound_length=mws_lower_bound(q, k),
+            exact_length=exact_mws_length(q, k),
+            lambda_q=lam,
+            mu_q=mu,
+            gv_qm_length=gv_len,
+            nonconstructive_qm_length=math.ceil(k * mu),
+            embedded_length_gv=2**gv_len,
+            embedded_length_simplex=2 ** (simplex_len - 1),
+            eqbound_min_n=thresholds[q][k],
+            lambda_ratio=lam / (2 * q**3 * math.log(q)),
+            mu_ratio=mu / (q * math.log(q)),
+            lambda_over_mu_ratio=(lam / mu) / (2 * q**2),
+            limit_bracket=(1, 4),
+            d_q_estimate=q / (2 * (q - 1) ** 2.5),
+            d_q_note="approximate asymptotic estimate; not used in any comparison",
+        ))
+    return reports
+
+
+def bounds_report(q: int, k: int, eqbound_cap: int = 2000) -> BoundsReport:
+    """Assemble every bound for one (q, k) cell: bounds_table([q], [k]).
+
+    See bounds_table for the checks made before anything is computed in
+    full, and for the cap on the exact threshold scan.
+    """
+    return bounds_table([q], [k], eqbound_cap)[0]

@@ -184,12 +184,14 @@ def cmd_search(args) -> int:
         workers=args.workers,
     )
     report = search(config)
-    _emit(report)
+    # Saved before the payload is written, as construct --out is, so that a
+    # closed stdout does not lose the witness file too.
     if args.witness_out and report["shortest_success"] is not None:
         entry = next(e for e in report["lengths"] if e.get("found"))
         with open(args.witness_out, "w") as fh:
             fh.write(entry["witness"]["matrix"])
         _diag(f"witness written to {args.witness_out}")
+    _emit(report)
     return EXIT_OK
 
 
@@ -211,7 +213,7 @@ def cmd_bounds(args) -> int:
         raise ValueError("empty q or k list")
     for q in q_list:
         _prime_power_decomposition(q)  # rejects non-prime-power q
-    reports = [bounds_mod.bounds_report(q, k).to_dict() for q in q_list for k in k_list]
+    reports = [cell.to_dict() for cell in bounds_mod.bounds_table(q_list, k_list)]
     if args.format == "json":
         _emit({"cells": reports})
     else:

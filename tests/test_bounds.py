@@ -9,6 +9,7 @@ import pytest
 from mwscodes import (
     binom_sq_sum,
     bounds_report,
+    bounds_table,
     entropy_q,
     eqbound_min_n,
     eqbound_value,
@@ -18,7 +19,7 @@ from mwscodes import (
     mu_q,
     mws_lower_bound,
 )
-from mwscodes.bounds import MAX_POWER_BITS, PowerTooLargeError, _binom_sq_sums
+from mwscodes.bounds import MAX_POWER_BITS, PowerTooLargeError, _binom_sq_sums, _eqbound_scan
 
 
 # -- entropy ------------------------------------------------------------------
@@ -165,6 +166,25 @@ def test_eqbound_min_n_matches_scan_oracle(q):
             assert eqbound_min_n(q, k, max_n=cap) == eqbound_min_n_scan_oracle(q, k, cap)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
+def test_shared_scan_matches_scan_oracle(q):
+    # one scan for an unsorted k list with duplicates, k = 0 and a k past the
+    # cap, which is tested once at its own start
+    for cap in (0, 1, 2, 5, 20, 21, 60):
+        ks = [3, 0, cap + 3, 1, 3, 4, 0, 2]
+        assert _eqbound_scan(q, ks, cap) == {
+            k: eqbound_min_n_scan_oracle(q, k, cap) for k in ks}
+
+
+@pytest.mark.parametrize("q, ks, expected", [
+    (2, [4, 3], {3: 326, 4: None}),
+    (3, [3, 2], {2: 37, 3: None}),
+    (9, [4, 2, 3], {2: None, 3: None, 4: None}),
+])
+def test_shared_scan_at_report_cap(q, ks, expected):
+    assert _eqbound_scan(q, ks, 2000) == expected
+
+
 @pytest.mark.parametrize("q, k, n", [
     (2, 3, 326), (3, 2, 37), (4, 2, 86), (5, 2, 190), (7, 2, 723), (8, 2, 1272),
 ])
@@ -268,6 +288,28 @@ def test_embedded_length_log_ratio_inside_bracket():
         code, _ = mws_pipeline(2, k, "identity")
         ratio = math.log(code.effective_length, 2) / k
         assert 1 - 0.5 <= ratio <= 4 + 0.5
+
+
+def test_bounds_table_is_bounds_report_per_cell():
+    cells = bounds_table([3, 2, 3], [2, 1, 2], eqbound_cap=60)
+    assert cells == [bounds_report(q, k, eqbound_cap=60)
+                     for q in (3, 2, 3) for k in (2, 1, 2)]
+
+
+# the first cell to fail, in table order, raises
+@pytest.mark.parametrize("ks, error", [
+    ([1, 0, 21], ValueError),
+    ([1, 21, 0], PowerTooLargeError),
+])
+def test_bounds_table_checks_every_cell_before_any_scan(monkeypatch, ks, error):
+    import mwscodes.bounds as bounds_mod
+
+    def no_scan(*args):
+        raise AssertionError("scanned before every cell was checked")
+
+    monkeypatch.setattr(bounds_mod, "_eqbound_scan", no_scan)
+    with pytest.raises(error):
+        bounds_table([2], ks)
 
 
 def test_bounds_report_keeps_the_largest_cell_below_the_bit_limit():

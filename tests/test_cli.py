@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import mwscodes.bounds as bounds_mod
 from mwscodes import is_mws, load_code, loads_code
 from mwscodes import cli, gf
 from mwscodes.cli import main
@@ -261,11 +262,38 @@ def test_bounds_rejects_non_prime_power(capsys):
     assert status == 2
 
 
-@pytest.mark.parametrize("q,k", [("2", "0"), ("3", "-1")])
+# (65537, 0) is refused for its k before (65537, 1) for its power, and a bad
+# k after a good one fails the whole table
+@pytest.mark.parametrize("q,k", [("2", "0"), ("3", "-1"), ("65537", "0,1"), ("2", "1,0")])
 def test_bounds_rejects_k_below_one(capsys, q, k):
-    status, payload = run(capsys, "bounds", "--q", q, "--k", k)
+    bad = next(int(t) for t in k.split(",") if int(t) < 1)
+    status = main(["bounds", "--q", q, "--k", k])
+    out = capsys.readouterr()
     assert status == 2
-    assert payload["error"] == "ValueError"
+    assert json.loads(out.out) == {"error": "ValueError", "detail": f"k must be >= 1, got {bad}"}
+    assert out.err == f"invalid input: k must be >= 1, got {bad}\n"
+
+
+def test_bounds_keeps_cell_order_and_duplicates(capsys):
+    status, payload = run(capsys, "bounds", "--q", "2", "--k", "4,1,4")
+    assert status == 0
+    cells = [json.loads(json.dumps(bounds_mod.bounds_report(2, k).to_dict())) for k in (4, 1, 4)]
+    assert payload["cells"] == cells
+
+
+def test_bounds_runs_one_threshold_scan_per_q(capsys, monkeypatch):
+    started = []
+    recurrence = bounds_mod._binom_sq_sums
+
+    def counted(q, n):
+        started.append((q, n))
+        return recurrence(q, n)
+
+    monkeypatch.setattr(bounds_mod, "_binom_sq_sums", counted)
+    status, payload = run(capsys, "bounds", "--q", "9", "--k", "1..4")
+    assert status == 0
+    assert [c["eqbound_min_n"] for c in payload["cells"]][1:] == [None, None, None]
+    assert started == [(9, 1)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -292,11 +320,12 @@ def test_bounds_prints_integers_past_the_str_digit_limit(capsys, fmt):
         validate(payload, "bounds_report.schema.json")
 
 
-@pytest.mark.parametrize("q,k", [(65537, 1), (2, 40), (2, 21), (64, 1)])
+@pytest.mark.parametrize("q,k", [("65537", "1"), ("2", "40"), ("2", "21"), ("64", "1"),
+                                 ("2,65537", "1")])
 def test_bounds_refuses_powers_above_the_bit_limit(capsys, q, k):
     # (65537, 1) ran out of memory computing 2**gv_qm_length, (2, 40) would
     # need 2**(2**40 - 2); both are refused before any power is computed
-    status, payload = run(capsys, "bounds", "--q", str(q), "--k", str(k))
+    status, payload = run(capsys, "bounds", "--q", q, "--k", k)
     assert status == cli.EXIT_GUARD == 3
     assert payload["error"] == "PowerTooLargeError"
 
@@ -367,6 +396,25 @@ def test_pipe_closed_before_reading():
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_INTERNAL
     assert err == "stdout closed before the payload was written\n"
+
+
+def test_closed_stdout_still_leaves_the_witness_file(capsys, tmp_path):
+    argv = ["search", "--q", "3", "--k", "2", "--n", "6", "--mode", "exhaustive"]
+    status, payload = run(capsys, *argv)
+    assert status == 0
+    witness = tmp_path / "witness.mat"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mwscodes.cli", *argv, "--witness-out", str(witness)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_INTERNAL
+    assert witness.read_text() == payload["lengths"][0]["witness"]["matrix"]
+    assert err.splitlines() == [f"witness written to {witness}",
+                                "stdout closed before the payload was written"]
 
 
 # -- field-info ---------------------------------------------------------------
