@@ -67,9 +67,9 @@ def _unlimited_int_str():
 
 
 def _emit(payload: dict) -> None:
-    with _unlimited_int_str():
-        json.dump(payload, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    with _unlimited_int_str():  # encoded whole: a value JSON cannot hold raises before any write
+        text = json.dumps(payload, indent=2)
+    sys.stdout.write(text + "\n")
 
 
 def _diag(msg: str) -> None:
@@ -77,11 +77,15 @@ def _diag(msg: str) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '3', '3,4,5', or '1..6'."""
+    """Accept '3', '3,4,5', or '1..6'; refuse a list with no values."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"no values in {text!r}")
+    return values
 
 
 def _resolve_seed(args) -> int:
@@ -209,8 +213,6 @@ def cmd_montecarlo(args) -> int:
 def cmd_bounds(args) -> int:
     q_list = _parse_int_list(args.q)
     k_list = _parse_int_list(args.k)
-    if not q_list or not k_list:
-        raise ValueError("empty q or k list")
     for q in q_list:
         _prime_power_decomposition(q)  # rejects non-prime-power q
     reports = [cell.to_dict() for cell in bounds_mod.bounds_table(q_list, k_list)]

@@ -101,7 +101,7 @@ class SearchConfig:
         if self.mode == "random" and self.trials < 1:
             raise ValueError("random mode needs trials >= 1")
         if self.mode == "random":
-            _check_seed(self.seed)  # exhaustive mode reads no seed
+            np.random.SeedSequence(self.seed)  # a negative seed fails; exhaustive mode reads none
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -139,44 +139,6 @@ def _hash_chain(start: int, mult: int, count: int) -> np.ndarray:
 _STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's, for 8 words
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError("expected non-negative integer")  # as numpy's SeedSequence says
-
-
-def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
-    """SeedSequence(entropy=seed, spawn_key=(t,))'s 4-word pool before the
-    spawn word t is mixed in, and the hash constant at that point.  Spawn
-    keys pad the seed's 32-bit words with zeros to the pool size; the first
-    four words fill the pool, every word is mixed into every other, and
-    words past the fourth are mixed in after that."""
-    _check_seed(seed)
-    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    h = _ENTROPY_HASH[0]
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * _ENTROPY_HASH[1] & _M32
-        value = value * h & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (_MIX_L * x - _MIX_R * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return np.array(pool, dtype=np.uint32), h
-
-
 def _mul128(xh, xl, ah, al):
     """(xh, xl) * (ah, al) mod 2^128 on uint64 (high, low) halves; the low
     halves' full product goes through 32-bit limbs."""
@@ -194,8 +156,9 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
     trials not computed, which the caller draws through trial_rng).
 
     The steps replay numpy exactly.  SeedSequence hashes the seed's words
-    into a pool (_seed_pool, once) and each trial's spawn word into it, and
-    generates 8 words: PCG64's initial state s and sequence.  PCG64 seeds
+    into a pool, read here off numpy's own SeedSequence(seed), hashes each
+    trial's spawn word into it and generates 8 words: PCG64's initial
+    state s and sequence; only these two hashes are replayed.  PCG64 seeds
     its LCG x -> M x + c, c = 2 sequence + 1, by one step from 0, adding s
     and one more step, so its m-th output comes from M^(m+2) (s + c) +
     (sum_{i<m+2} M^i) c mod 2^128, computed for every m at once, through
@@ -207,8 +170,11 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
     words), is left to the caller.  Trials are taken in slices so that no
     array exceeds one enumeration block, BLOCK_ROWS x n entries.
     """
-    pool, h = _seed_pool(seed)
-    spawn = _hash_chain(h, _ENTROPY_HASH[1], 4)
+    pool = np.random.SeedSequence(seed).pool  # refuses a negative seed
+    # the spawn word's hash constants follow the ones that built the pool:
+    # 4 to fill the pool, 12 to mix it, and 4 per seed word past the fourth
+    calls = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
+    spawn = _hash_chain(*_ENTROPY_HASH, calls + 4)[calls:]
     trials = np.asarray(trials, dtype=np.int64)
     kn = k * n
     reject = 2**32 % q
@@ -542,7 +508,7 @@ def estimate_expectation(
     q^{2k-2n} sum_w C(n,w)^2 (q-1)^{2w}."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_seed(seed)
+    np.random.SeedSequence(seed)  # refuses a negative seed
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.monotonic()

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import mwscodes.bounds as bounds_mod
@@ -129,6 +130,19 @@ def test_search_n_list_must_be_contiguous(capsys):
                           "--mode", "exhaustive", "--n", "5,6")
     assert status == 0
     assert [e["n"] for e in payload["lengths"]] == [5, 6]
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["search", "--q", "3", "--k", "2", "--n", "7..5", "--seed", "1"], "7..5"),
+    (["search", "--q", "3", "--k", "2", "--n", ",", "--seed", "1"], ","),
+    (["bounds", "--q", "3..2", "--k", "2"], "3..2"),
+])
+def test_an_empty_int_list_is_refused_by_its_text(capsys, argv, text):
+    status = main(argv)
+    out = capsys.readouterr()
+    assert status == 2
+    assert json.loads(out.out) == {"error": "ValueError", "detail": f"no values in {text!r}"}
+    assert out.err == f"invalid input: no values in {text!r}\n"
 
 
 def test_search_exhaustive_binary(capsys):
@@ -352,6 +366,16 @@ def test_internal_error_has_its_own_exit_status(capsys, monkeypatch):
     assert json.loads(out.out) == {
         "error": "AssertionError", "detail": "witness failed re-verification"}
     assert out.err.startswith("internal error: ")
+
+
+def test_a_value_json_cannot_hold_is_an_internal_error(capsys, monkeypatch):
+    # not quoted as a string, and no part of the bad payload reaches stdout
+    monkeypatch.setattr(cli, "describe_field", lambda *args: {"name": np.int64(9)})
+    status = main(["field-info", "--q", "9"])
+    out = capsys.readouterr()
+    assert status == cli.EXIT_INTERNAL
+    payload = json.loads(out.out)  # exactly one JSON object
+    assert payload["error"] == "TypeError" and "int64" in payload["detail"]
 
 
 class ClosedStdout:

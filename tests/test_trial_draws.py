@@ -27,8 +27,9 @@ from mwscodes import (
 search_mod = importlib.import_module("mwscodes.search")  # the package re-exports search()
 
 QS = [2, 3, 4, 5, 7, 8, 9, 25, 27, 243, 256, 257, 2187]
-# 3**90 > 2^128 has five 32-bit words, one more than SeedSequence's pool
-SEEDS = [0, 2**32, 2**64 + 3, 3**90]
+# seeds of 1, 2, 3, 4, 5 and 7 32-bit words: SeedSequence's pool holds 4,
+# and every word past the fourth takes 4 more hash constants
+SEEDS = [0, 2**32, 2**64 + 3, 2**127 + 5, 3**90, 2**200 + 7]
 # k = 1..4 with n up to 30, k n odd and even
 SHAPES = [(1, 1), (1, 4), (1, 29), (2, 3), (2, 30), (3, 3), (3, 8), (3, 29), (4, 4), (4, 30)]
 ROUNDS = range(4)
