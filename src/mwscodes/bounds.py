@@ -1,20 +1,23 @@
 """Bound formulas for shortest MWS / QM code lengths.
 
 Everything that feeds a pass/fail comparison is exact: length bounds use
-integer ceilings, and the random-coding threshold scan compares big integers
-at every step, with no float path.  bounds_table assembles a (q, k) grid and
-runs one threshold scan per q, which settles every k of that q in a single
-pass over n.  Real-valued quantities (entropy, the two
-GV-type length factors) are returned as floats; the factor lambda_q is
-evaluated in high-precision arithmetic internally because
-1 - h_q((q-2)/(q-1)) underflows double precision already around q = 10^4.
+integer ceilings, and the random-coding threshold scan decides each step
+from a float interval with outward rounding that holds the exact value,
+falling back to a big-integer comparison when the interval straddles the
+threshold.  bounds_table assembles a (q, k) grid and runs one threshold
+scan per q, which settles every k of that q in a single pass over n.
+Real-valued quantities (entropy, the two GV-type length factors) are
+returned as floats; the factor lambda_q is evaluated in high-precision
+arithmetic internally because 1 - h_q((q-2)/(q-1)) underflows double
+precision already around q = 10^4.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 # bounds_table refuses a cell whose exact powers 2^e need more bits than
@@ -120,46 +123,82 @@ def eqbound_value(q: int, k: int, n: int) -> Fraction:
     return Fraction(q ** (2 * k) * binom_sq_sum(n, q), q ** (2 * n))
 
 
-def _binom_sq_sums(q: int, n: int):
-    """Yield binom_sq_sum(m, q) for m = n, n+1, ... exactly.
+# Outward rounding: for a positive normal float y, the rounded y * _UP is at
+# least nextafter(y, inf) and the rounded y * _DOWN at most nextafter(y, -inf).
+_UP, _DOWN = 1.0 + 2.0**-52, 1.0 - 2.0**-52
 
-    With x = (q-1)^2 the sums obey the three-term recurrence
-    (m+1) S_{m+1} = (2m+1)(1+x) S_m - m(1-x)^2 S_{m-1}, so each step costs a
-    few big-integer products instead of a fresh sum.  The division by m+1 is
-    exact; a nonzero remainder means the recurrence was broken and raises.
+
+def _enclose(x: Fraction) -> tuple[float, float]:
+    """Floats lo <= x <= hi: float(x), correctly rounded, or its neighbours."""
+    y = float(x)
+    return (y, y) if y == x else (math.nextafter(y, -math.inf), math.nextafter(y, math.inf))
+
+
+def _enclosures(q: int, n: int):
+    """Yield floats (lo, hi) with lo <= S_m / q^{2m} <= hi for m = n, n+1, ...
+
+    With A = (1 + (q-1)^2) / q^2 and B = (q-2)^2 / q^2, the S_m recurrence
+    gives rho_m = S_m / (q^2 S_{m-1}) as rho_{m+1} = ((2m+1) A - m B / rho_m)
+    / (m+1), increasing in rho_m, and S_m / q^{2m} is the running product of
+    the rho_m.  Start values, A and B are enclosed from exact Fractions, and
+    each operation's result is pushed one step outward (Moore, Kearfott &
+    Cloud, Introduction to Interval Analysis, 2009).  rho_m >= A, as rho_1 = A
+    and A^2 >= B, so r_lo is raised to A's low end when below, and every push
+    acts on a positive number: a normal one, or a t_lo too small to certify
+    a fail.  The map's slope m B / ((m+1) rho_m^2) is below 1, so the
+    enclosures widen only by their rounding, a few ulps a step.
     """
-    x = (q - 1) ** 2
-    a, b = 1 + x, (1 - x) ** 2
-    prev, cur = (binom_sq_sum(n - 1, q) if n else 0), binom_sq_sum(n, q)
+    s = binom_sq_sum(n, q)
+    r_lo, r_hi = _enclose(Fraction(s, q * q * binom_sq_sum(n - 1, q)))
+    t_lo, t_hi = _enclose(Fraction(s, q ** (2 * n)))
+    a_lo, a_hi = _enclose(Fraction(1 + (q - 1) ** 2, q * q))
+    b_lo, b_hi = _enclose(Fraction((q - 2) ** 2, q * q))
+    m = float(n)  # exact while m < 2^53
     while True:
-        yield cur
-        nxt, rem = divmod((2 * n + 1) * a * cur - n * b * prev, n + 1)
-        if rem:
-            raise ArithmeticError(f"S_{n + 1} recurrence left remainder {rem} (q={q})")
-        prev, cur = cur, nxt
-        n += 1
+        yield t_lo, t_hi
+        m1 = m + 1.0
+        m2 = m + m1
+        r_lo = (m2 * a_lo * _DOWN - m * b_hi * _UP / r_lo * _UP) * _DOWN / m1 * _DOWN
+        if r_lo < a_lo:
+            r_lo = a_lo
+        r_hi = (m2 * a_hi * _UP - m * b_lo * _DOWN / r_hi * _DOWN) * _UP / m1 * _UP
+        t_lo = t_lo * r_lo * _DOWN
+        t_hi = t_hi * r_hi * _UP
+        m = m1
 
 
 def _eqbound_scan(q: int, ks: Iterable[int], max_n: int | None) -> dict[int, int | None]:
     """eqbound_min_n(q, k, max_n) for every k in ks, from one upward scan.
 
     Each k is tested from max(k, 1) on; the scan starts at the smallest of
-    these and carries S_n and the right side as eqbound_min_n describes.  At
-    each n only the smallest pending k is tested: q^{2k} grows with k, so a
-    larger k fails wherever a smaller one does.  When it passes, the next k
-    is tested at the same n.  A k whose start lies above n waits until n
-    reaches it.  Once n >= max_n, every pending k whose start has been
-    reached gets None.
+    these.  At each n only the smallest pending k is tested: q^{2k} grows
+    with k, so a larger k fails wherever a smaller one does.  When it passes,
+    the next k is tested at the same n.  A k whose start lies above n waits
+    until n reaches it.  Once n >= max_n, every pending k whose start has
+    been reached gets None.
+
+    The test q^{2k} S_n < 2 (q-1)^2 q^{2n} is T_n < 2 (q-1)^2 / q^{2k}, with
+    T_n = S_n / q^{2n} enclosed by _enclosures and the threshold enclosed
+    from its Fraction.  Each test is then a certain pass, a certain fail or
+    a straddle; only a straddle, or a threshold below the normal float
+    range, runs the exact integer test.
     """
+    if q < 2:
+        raise ValueError("q must be >= 2")
     pending = sorted(set(ks))
+    if pending[0] < 0:
+        raise ValueError(f"k must be >= 0, got {pending[0]}")
     starts = [max(k, 1) for k in pending]
     scales = [q ** (2 * k) for k in pending]
+    bars = [_enclose(Fraction(2 * (q - 1) ** 2, scale)) for scale in scales]
+    bars = [bar if bar[0] >= sys.float_info.min else (-math.inf, math.inf) for bar in bars]
     found: dict[int, int | None] = {}
     n = starts[0]
-    limit = 2 * (q - 1) ** 2 * q ** (2 * n)
     i, m = 0, len(pending)
-    for s in _binom_sq_sums(q, n):
-        while i < m and starts[i] <= n and scales[i] * s < limit:
+    for t_lo, t_hi in _enclosures(q, n):
+        while i < m and starts[i] <= n and (
+                t_hi < bars[i][0] or (t_lo < bars[i][1] and
+                scales[i] * binom_sq_sum(n, q) < 2 * (q - 1) ** 2 * q ** (2 * n))):
             found[pending[i]] = n
             i += 1
         if max_n is not None and n >= max_n:
@@ -169,16 +208,15 @@ def _eqbound_scan(q: int, ks: Iterable[int], max_n: int | None) -> dict[int, int
         if i == m:
             return found
         n += 1
-        limit *= q * q
 
 
 def eqbound_min_n(q: int, k: int, max_n: int | None = None) -> int | None:
     """Smallest n >= max(k, 1) with eqbound_value(q, k, n) < 2 (q-1)^2.
 
-    Scans n upward from max(k, 1), carrying S_n = binom_sq_sum(n, q) by its
-    recurrence and the right side 2 (q-1)^2 q^{2n} as a running product, and
-    settles each n with one integer comparison q^{2k} S_n < 2 (q-1)^2 q^{2n};
-    no step is rounded.  The left side eventually decays like 1/sqrt(n), so
+    Scans n upward from max(k, 1), enclosing q^{-2n} binom_sq_sum(n, q) in a
+    float interval with outward rounding; where it straddles 2 (q-1)^2 q^{-2k}
+    the exact integer test decides, so the answer is exact.  q < 2 and k < 0
+    raise ValueError.  The left side eventually decays like 1/sqrt(n), so
     the scan terminates, but for large (q, k) only after very many steps:
     max_n caps it, and None means the threshold was not reached by max_n.
     The first n is always tested, even when it exceeds max_n.  This is one k
@@ -210,7 +248,7 @@ class BoundsReport:
     d_q_note: str
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["limit_bracket"] = list(self.limit_bracket)
         return d
 
@@ -225,7 +263,7 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int],
     mu_q and the eqbound_min_n thresholds are computed once per q, the
     thresholds of all ks by one scan capped at eqbound_cap.  The cap stays
     because thresholds grow like q^{4k+2}: (9, 4) lies near n = 9e10, beyond
-    any exact scan, and such cells report None.  The D_q figure is an
+    any scan of n, and such cells report None.  The D_q figure is an
     asymptotic estimate only and never feeds a comparison.
     """
     factors: dict[int, tuple[float, float]] = {}
@@ -274,6 +312,6 @@ def bounds_report(q: int, k: int, eqbound_cap: int = 2000) -> BoundsReport:
     """Assemble every bound for one (q, k) cell: bounds_table([q], [k]).
 
     See bounds_table for the checks made before anything is computed in
-    full, and for the cap on the exact threshold scan.
+    full, and for the cap on the threshold scan.
     """
     return bounds_table([q], [k], eqbound_cap)[0]

@@ -174,7 +174,8 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
     # the spawn word's hash constants follow the ones that built the pool:
     # 4 to fill the pool, 12 to mix it, and 4 per seed word past the fourth
     calls = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
-    spawn = _hash_chain(*_ENTROPY_HASH, calls + 4)[calls:]
+    start, mult = _ENTROPY_HASH
+    spawn = _hash_chain(start * pow(mult, calls, 2**32) & _M32, mult, 4)
     trials = np.asarray(trials, dtype=np.int64)
     kn = k * n
     reject = 2**32 % q

@@ -1,15 +1,17 @@
-"""Slow reference oracle for the enumeration core in mwscodes.codes.
+"""Slow reference oracles for the enumeration core in mwscodes.codes and
+for the threshold scan in mwscodes.bounds.
 
 Messages come from the recursive generator the library used before its
 block enumerator, and words from per-message `codeword`; weights and
-supports are then counted one word at a time.
+supports are then counted one word at a time.  The threshold scan is the
+exact big-integer scan the library used before its interval scan.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from mwscodes import codeword, support, weighted_weight
+from mwscodes import bounds, codeword, support, weighted_weight
 
 
 def representatives(q: int, k: int):
@@ -47,3 +49,50 @@ def is_mws(code) -> bool:
 def is_qm(code) -> bool:
     ws = words(code)
     return len({support(w) for w in ws}) == len(ws)
+
+
+def binom_sq_sums(q: int, n: int):
+    """Yield bounds.binom_sq_sum(m, q) for m = n, n+1, ... exactly.
+
+    With x = (q-1)^2 the sums obey the three-term recurrence
+    (m+1) S_{m+1} = (2m+1)(1+x) S_m - m(1-x)^2 S_{m-1}, so each step costs a
+    few big-integer products instead of a fresh sum.  The division by m+1 is
+    exact; a nonzero remainder means the recurrence was broken and raises.
+    """
+    x = (q - 1) ** 2
+    a, b = 1 + x, (1 - x) ** 2
+    prev, cur = (bounds.binom_sq_sum(n - 1, q) if n else 0), bounds.binom_sq_sum(n, q)
+    while True:
+        yield cur
+        nxt, rem = divmod((2 * n + 1) * a * cur - n * b * prev, n + 1)
+        if rem:
+            raise ArithmeticError(f"S_{n + 1} recurrence left remainder {rem} (q={q})")
+        prev, cur = cur, nxt
+        n += 1
+
+
+def eqbound_scan(q: int, ks, max_n: int | None) -> dict[int, int | None]:
+    """bounds._eqbound_scan with every step exact: S_n from binom_sq_sums,
+    the right side 2 (q-1)^2 q^{2n} as a running product, and one integer
+    comparison q^{2k} S_n < 2 (q-1)^2 q^{2n} per test.  Same pending-k walk:
+    only the smallest pending k is tested, from max(k, 1) on, and once
+    n >= max_n every reached k gets None."""
+    pending = sorted(set(ks))
+    starts = [max(k, 1) for k in pending]
+    scales = [q ** (2 * k) for k in pending]
+    found = {}
+    n = starts[0]
+    limit = 2 * (q - 1) ** 2 * q ** (2 * n)
+    i, m = 0, len(pending)
+    for s in binom_sq_sums(q, n):
+        while i < m and starts[i] <= n and scales[i] * s < limit:
+            found[pending[i]] = n
+            i += 1
+        if max_n is not None and n >= max_n:
+            while i < m and starts[i] <= n:
+                found[pending[i]] = None
+                i += 1
+        if i == m:
+            return found
+        n += 1
+        limit *= q * q

@@ -19,7 +19,10 @@ from mwscodes import (
     mu_q,
     mws_lower_bound,
 )
-from mwscodes.bounds import MAX_POWER_BITS, PowerTooLargeError, _binom_sq_sums, _eqbound_scan
+import mwscodes.bounds as bounds_mod
+from mwscodes.bounds import MAX_POWER_BITS, PowerTooLargeError, _enclosures, _eqbound_scan
+
+import reference
 
 
 # -- entropy ------------------------------------------------------------------
@@ -132,19 +135,84 @@ def test_eqbound_cap_returns_none():
     assert eqbound_min_n(5, 3, max_n=50) is None
 
 
+# the exact oracle for the interval scan: reference.eqbound_scan runs the
+# big-integer S_n recurrence reference.binom_sq_sums
+
 @pytest.mark.parametrize("q", range(2, 10))
 def test_recurrence_matches_binom_sq_sum(q):
-    assert list(islice(_binom_sq_sums(q, 0), 80)) == [binom_sq_sum(n, q) for n in range(80)]
-    assert list(islice(_binom_sq_sums(q, 37), 5)) == [binom_sq_sum(n, q) for n in range(37, 42)]
+    sums = reference.binom_sq_sums
+    assert list(islice(sums(q, 0), 80)) == [binom_sq_sum(n, q) for n in range(80)]
+    assert list(islice(sums(q, 37), 5)) == [binom_sq_sum(n, q) for n in range(37, 42)]
 
 
 def test_recurrence_raises_on_inexact_division(monkeypatch):
-    import mwscodes.bounds as bounds_mod
-
     true_sum = bounds_mod.binom_sq_sum
     monkeypatch.setattr(bounds_mod, "binom_sq_sum", lambda n, q: true_sum(n, q) + (n == 0))
     with pytest.raises(ArithmeticError):
-        list(islice(_binom_sq_sums(3, 1), 3))
+        list(islice(reference.binom_sq_sums(3, 1), 3))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 16, 8192])
+@pytest.mark.parametrize("start", [1, 37])
+def test_enclosures_contain_exact_t(q, start):
+    # lo <= S_n / q^{2n} <= hi as exact rationals, with a narrow interval;
+    # dropping the outward rounding, or reversing it, fails this test
+    exact = reference.binom_sq_sums(q, start)
+    for n, (lo, hi), s in zip(range(start, 301), _enclosures(q, start), exact):
+        t = Fraction(s, q ** (2 * n))
+        assert lo <= t <= hi, (q, n)
+        assert hi - lo <= 1e-9 * t, (q, n)
+
+
+GRID = [(q, cap) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+        for cap in (0, 1, 2, 5, 21, 60, 300, 2000)]
+GRID += [(q, cap) for q in (4099, 8191, 8192, 65521, 65536)
+         for cap in (0, 1, 2, 5, 21, 60, 300)]
+
+
+@pytest.mark.parametrize("q, cap", GRID)
+def test_interval_scan_matches_exact_oracle(q, cap):
+    ks = range(6)
+    assert _eqbound_scan(q, ks, cap) == reference.eqbound_scan(q, ks, cap)
+    for k in ks:
+        assert eqbound_min_n(q, k, max_n=cap) == reference.eqbound_scan(q, [k], cap)[k]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_forced_straddles_keep_every_answer(monkeypatch, q):
+    # pushing every rounding 2^200 outward leaves each interval after the
+    # first straddling every threshold, so the exact test decides each n
+    tested = []
+    true_sum = bounds_mod.binom_sq_sum
+
+    def counted(n, q):
+        tested.append(n)
+        return true_sum(n, q)
+
+    monkeypatch.setattr(bounds_mod, "_UP", 2.0**200)
+    monkeypatch.setattr(bounds_mod, "_DOWN", 2.0**-200)
+    monkeypatch.setattr(bounds_mod, "binom_sq_sum", counted)
+    for cap in (0, 1, 2, 5, 21, 60):
+        assert _eqbound_scan(q, range(6), cap) == reference.eqbound_scan(q, range(6), cap)
+        for k in range(6):
+            tested.clear()
+            found = eqbound_min_n(q, k, max_n=cap)
+            assert found == reference.eqbound_scan(q, [k], cap)[k]
+            start = max(k, 1)
+            end = max(start, cap) if found is None else found
+            assert set(range(start + 1, end + 1)) <= set(tested)
+
+
+def test_eqbound_min_n_uncapped_past_the_report_cap():
+    assert eqbound_min_n(4, 3) == 21977
+
+
+@pytest.mark.parametrize("q, k", [(1, 1), (0, 1), (-3, 1), (3, -1)])
+def test_eqbound_min_n_refuses_q_below_2_and_negative_k(q, k):
+    with pytest.raises(ValueError):
+        eqbound_min_n(q, k, max_n=10)
+    with pytest.raises(ValueError):
+        _eqbound_scan(q, [k, 2], 10)
 
 
 def eqbound_min_n_scan_oracle(q, k, max_n):

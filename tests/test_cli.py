@@ -297,17 +297,17 @@ def test_bounds_keeps_cell_order_and_duplicates(capsys):
 
 def test_bounds_runs_one_threshold_scan_per_q(capsys, monkeypatch):
     started = []
-    recurrence = bounds_mod._binom_sq_sums
+    scan = bounds_mod._eqbound_scan
 
-    def counted(q, n):
-        started.append((q, n))
-        return recurrence(q, n)
+    def counted(q, ks, max_n):
+        started.append((q, list(ks), max_n))
+        return scan(q, ks, max_n)
 
-    monkeypatch.setattr(bounds_mod, "_binom_sq_sums", counted)
+    monkeypatch.setattr(bounds_mod, "_eqbound_scan", counted)
     status, payload = run(capsys, "bounds", "--q", "9", "--k", "1..4")
     assert status == 0
     assert [c["eqbound_min_n"] for c in payload["cells"]][1:] == [None, None, None]
-    assert started == [(9, 1)]
+    assert started == [(9, [1, 2, 3, 4], 2000)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
