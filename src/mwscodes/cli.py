@@ -237,72 +237,94 @@ def cmd_field_info(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("construct", "verify", "search", "montecarlo", "bounds", "field-info")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: with a command, only that subcommand's parser is
+    built, and a run of that command parses exactly as with all six."""
+    if command not in (None, *COMMANDS):
+        raise ValueError(f"unknown command {command!r}")
     p = argparse.ArgumentParser(prog="mwscodes", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    if command is not None:
+        # The usage line of top-level errors lists every command, as the full
+        # parser's does.  Set without a command, the metavar would replace
+        # "command" in argparse's invalid-choice and required-argument errors.
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
 
-    c = sub.add_parser("construct", help="build a code and optionally verify it")
-    c.add_argument("kind", choices=["simplex", "identity", "embed", "repetition"])
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--k", type=int, default=1)
-    c.add_argument("--source", choices=["identity", "simplex"], default=None,
-                   help="base construction for embed")
-    c.add_argument("--in", dest="infile", default=None, help="base matrix file")
-    c.add_argument("--profile", default=None, help="comma-separated multiplicities")
-    c.add_argument("--out", default=None, help="write the matrix file here")
-    c.add_argument("--verify-qm", action="store_true")
-    c.add_argument("--verify-mws", action="store_true")
-    c.set_defaults(func=cmd_construct)
+    if command in (None, "construct"):
+        c = sub.add_parser("construct", help="build a code and optionally verify it")
+        c.add_argument("kind", choices=["simplex", "identity", "embed", "repetition"])
+        c.add_argument("--q", type=int, required=True)
+        c.add_argument("--k", type=int, default=1)
+        c.add_argument("--source", choices=["identity", "simplex"], default=None,
+                       help="base construction for embed")
+        c.add_argument("--in", dest="infile", default=None, help="base matrix file")
+        c.add_argument("--profile", default=None, help="comma-separated multiplicities")
+        c.add_argument("--out", default=None, help="write the matrix file here")
+        c.add_argument("--verify-qm", action="store_true")
+        c.add_argument("--verify-mws", action="store_true")
+        c.set_defaults(func=cmd_construct)
 
-    v = sub.add_parser("verify", help="verify a matrix file")
-    v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--qm", action="store_true", help="exit status reflects QM only")
-    v.add_argument("--mws", action="store_true", help="exit status reflects MWS only")
-    v.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        v = sub.add_parser("verify", help="verify a matrix file")
+        v.add_argument("--in", dest="infile", required=True)
+        v.add_argument("--qm", action="store_true", help="exit status reflects QM only")
+        v.add_argument("--mws", action="store_true", help="exit status reflects MWS only")
+        v.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("search", help="random or exhaustive code search")
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--n", default=None, help="length or range, e.g. 5..6")
-    s.add_argument("--target", choices=["qm", "mws"], default="mws")
-    s.add_argument("--mode", choices=["random", "exhaustive"], default="random")
-    s.add_argument("--trials", type=int, default=10_000)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--workers", type=int, default=1,
-                   help="worker processes for random and exhaustive search, started only for "
-                        "a space of more than one full enumeration batch; --gv runs serially")
-    s.add_argument("--gv", action="store_true",
-                   help="QM search at the GV-type length ceil(k*lambda_q)")
-    s.add_argument("--witness-out", default=None)
-    s.set_defaults(func=cmd_search)
+    if command in (None, "search"):
+        s = sub.add_parser("search", help="random or exhaustive code search")
+        s.add_argument("--q", type=int, required=True)
+        s.add_argument("--k", type=int, required=True)
+        s.add_argument("--n", default=None, help="length or range, e.g. 5..6")
+        s.add_argument("--target", choices=["qm", "mws"], default="mws")
+        s.add_argument("--mode", choices=["random", "exhaustive"], default="random")
+        s.add_argument("--trials", type=int, default=10_000)
+        s.add_argument("--seed", type=int, default=None)
+        s.add_argument("--workers", type=int, default=1,
+                       help="worker processes for random and exhaustive search, started only for "
+                            "a space of more than one full enumeration batch; --gv runs serially")
+        s.add_argument("--gv", action="store_true",
+                       help="QM search at the GV-type length ceil(k*lambda_q)")
+        s.add_argument("--witness-out", default=None)
+        s.set_defaults(func=cmd_search)
 
-    m = sub.add_parser("montecarlo", help="estimate the expected collision statistic")
-    m.add_argument("--q", type=int, required=True)
-    m.add_argument("--k", type=int, required=True)
-    m.add_argument("--n", type=int, required=True)
-    m.add_argument("--samples", type=int, default=20_000)
-    m.add_argument("--seed", type=int, default=None)
-    m.add_argument("--workers", type=int, default=1,
-                   help="worker processes, started only for more than one full "
-                        "enumeration batch of samples")
-    m.set_defaults(func=cmd_montecarlo)
+    if command in (None, "montecarlo"):
+        m = sub.add_parser("montecarlo", help="estimate the expected collision statistic")
+        m.add_argument("--q", type=int, required=True)
+        m.add_argument("--k", type=int, required=True)
+        m.add_argument("--n", type=int, required=True)
+        m.add_argument("--samples", type=int, default=20_000)
+        m.add_argument("--seed", type=int, default=None)
+        m.add_argument("--workers", type=int, default=1,
+                       help="worker processes, started only for more than one full "
+                            "enumeration batch of samples")
+        m.set_defaults(func=cmd_montecarlo)
 
-    b = sub.add_parser("bounds", help="bound tables over a (q, k) grid")
-    b.add_argument("--q", required=True, help="e.g. 3 or 3,4,5 or 2..9")
-    b.add_argument("--k", required=True, help="e.g. 2 or 1..6")
-    b.add_argument("--format", choices=["csv", "json"], default="json")
-    b.set_defaults(func=cmd_bounds)
+    if command in (None, "bounds"):
+        b = sub.add_parser("bounds", help="bound tables over a (q, k) grid")
+        b.add_argument("--q", required=True, help="e.g. 3 or 3,4,5 or 2..9")
+        b.add_argument("--k", required=True, help="e.g. 2 or 1..6")
+        b.add_argument("--format", choices=["csv", "json"], default="json")
+        b.set_defaults(func=cmd_bounds)
 
-    f = sub.add_parser("field-info", help="describe GF(q)")
-    f.add_argument("--q", type=int, required=True)
-    f.set_defaults(func=cmd_field_info)
+    if command in (None, "field-info"):
+        f = sub.add_parser("field-info", help="describe GF(q)")
+        f.add_argument("--q", type=int, required=True)
+        f.set_defaults(func=cmd_field_info)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:  # the console script passes none
+        argv = sys.argv[1:]
+    # Only a command as the first argument gets the lean parser; help, no
+    # arguments and an unknown command need the full one.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         status = _run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

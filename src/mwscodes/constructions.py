@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .codes import (
     LinearCode,
+    _check_guard,
     projective_representative_count,
     projective_representatives,
     spectrum_report,
@@ -46,6 +47,7 @@ def simplex(q: int, k: int) -> LinearCode:
     """
     if k < 1:
         raise ValueError("dimension must be >= 1")
+    _check_guard(q, k)  # before the (q^k - 1)/(q - 1) columns are built, not at the first report
     fld = build_field(q)
     gen = tuple(zip(*projective_representatives(fld, k)))
     return LinearCode(field=fld, generator=gen)

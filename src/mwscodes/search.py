@@ -51,7 +51,7 @@ from .codes import (
     is_qm,
     projective_representative_count,
 )
-from .gf import build_field
+from .gf import _prime_power_decomposition, build_field
 from .matrixio import dumps_code, loads_code
 
 DEFAULT_SPACE_GUARD = 2**30
@@ -77,6 +77,14 @@ class SearchSpaceTooLargeError(RuntimeError):
     """Raised when exhaustive enumeration would exceed the space guard."""
 
 
+def _check_field_and_dimension(q: int, k: int) -> None:
+    """Refuse a q that is not a prime power and a k below 1 before any
+    chunking: _full_batch divides by the (q^k - 1)/(q - 1) words of a code."""
+    _prime_power_decomposition(q)
+    if k < 1:
+        raise ValueError("generator needs at least one row")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one search run."""
@@ -92,6 +100,7 @@ class SearchConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _check_field_and_dimension(self.q, self.k)
         if self.n_lo > self.n_hi:
             raise ValueError("n_lo must be <= n_hi")
         if self.target not in ("mws", "qm"):
@@ -507,6 +516,7 @@ def estimate_expectation(
     """Sample random [n,k]_q codes and compare the mean collision statistic
     sum_w A_w(A_w - (q-1)) against its exact theoretical ceiling
     q^{2k-2n} sum_w C(n,w)^2 (q-1)^{2w}."""
+    _check_field_and_dimension(q, k)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     np.random.SeedSequence(seed)  # refuses a negative seed

@@ -160,6 +160,19 @@ def test_search_witness_out(capsys, tmp_path):
     assert is_mws(load_code(out))
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "simplex", "--q", "2", "--k", "40"],
+    ["construct", "embed", "--q", "2", "--k", "40", "--source", "simplex"],
+])
+def test_construct_simplex_trips_the_guard_before_building(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MWSCODES_MAX_ENUM", raising=False)
+    monkeypatch.setattr(importlib.import_module("mwscodes.constructions"),
+                        "projective_representatives", None)  # a call would be a TypeError
+    status, payload = run(capsys, *argv)
+    assert status == 3
+    assert payload["error"] == "EnumerationTooLargeError"
+
+
 def test_search_guard_exit_code(capsys):
     status, payload = run(capsys, "search", "--q", "4", "--k", "3", "--target", "mws",
                           "--mode", "exhaustive", "--n", "30")
@@ -190,6 +203,26 @@ def test_search_gv_rejects_fewer_than_one_trial(capsys, trials):
                           "--trials", trials, "--seed", "0")
     assert status == 2
     assert payload == {"error": "ValueError", "detail": "trials must be >= 1"}
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["search", "--q", "3", "--k", "0", "--n", "3", "--seed", "1"],
+     "generator needs at least one row"),
+    (["search", "--q", "3", "--k", "0", "--n", "3", "--mode", "exhaustive"],
+     "generator needs at least one row"),
+    (["search", "--q", "1", "--k", "2", "--n", "3", "--seed", "1"],
+     "field order must be >= 2, got 1"),
+    (["search", "--q", "6", "--k", "2", "--n", "3", "--mode", "exhaustive"],
+     "6 is not a prime power"),
+    (["montecarlo", "--q", "1", "--k", "2", "--n", "3", "--samples", "2", "--seed", "1"],
+     "field order must be >= 2, got 1"),
+    (["montecarlo", "--q", "3", "--k", "0", "--n", "3", "--samples", "2", "--seed", "1"],
+     "generator needs at least one row"),
+])
+def test_search_and_montecarlo_reject_bad_q_or_k_before_chunking(capsys, argv, detail):
+    status, payload = run(capsys, *argv)
+    assert status == 2
+    assert payload["detail"] == detail
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,8 @@
 
 import pytest
 
+from mwscodes import constructions
+from mwscodes.codes import EnumerationTooLargeError
 from mwscodes import (
     NotQuasiMinimalError,
     embed_f,
@@ -27,6 +29,17 @@ def test_simplex_3_2_columns():
     cols = {tuple(row[j] for row in code.generator) for j in range(code.n)}
     assert cols == {(1, 0), (0, 1), (1, 1), (1, 2)}
     assert weight_spectrum(code).counts == {3: 8}
+
+
+def test_simplex_checks_the_guard_before_building_its_columns(monkeypatch):
+    monkeypatch.delenv("MWSCODES_MAX_ENUM", raising=False)
+
+    def no_columns(fld, k):
+        raise AssertionError("columns built before the guard")
+
+    monkeypatch.setattr(constructions, "projective_representatives", no_columns)
+    with pytest.raises(EnumerationTooLargeError):
+        simplex(2, 29)
 
 
 def test_simplex_2_1():

@@ -93,7 +93,7 @@ def test_kernel_slices_below_the_block_size(monkeypatch):
 
 
 def test_kernel_refuses_a_negative_seed():
-    # splitting a negative int into 32-bit words would never end
+    # np.random.SeedSequence(seed) refuses it; this is numpy's message
     with pytest.raises(ValueError, match="expected non-negative integer"):
         search_mod._trial_draws(-5, np.arange(3), 0, 3, 2, 5)
 
