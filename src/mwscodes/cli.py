@@ -104,6 +104,7 @@ def cmd_construct(args) -> int:
     kind = args.kind
     if kind in ("simplex", "identity"):
         maker = constructions.simplex if kind == "simplex" else constructions.identity_code
+        constructions._guarded_field(args.q, args.k)  # identity_code builds its generator unguarded
         code = maker(args.q, args.k)
         report = {"construction": kind, **spectrum_report(code)}
     elif kind == "embed":

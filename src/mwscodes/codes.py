@@ -337,7 +337,9 @@ class WeightSpectrum:
 
 def _check_guard(q: int, k: int):
     limit = int(os.environ.get("MWSCODES_MAX_ENUM", DEFAULT_ENUM_GUARD))
-    if q**k > limit:
+    # q^k >= 2^k > limit once k reaches limit's bit length: a huge k is
+    # refused without computing q^k
+    if (q >= 2 and k >= limit.bit_length()) or q**k > limit:
         raise EnumerationTooLargeError(f"q^k = {q}**{k} exceeds enumeration guard {limit}")
 
 

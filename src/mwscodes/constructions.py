@@ -29,6 +29,14 @@ class NotQuasiMinimalError(ValueError):
     """Raised when the MWS pipeline receives a code that is not QM."""
 
 
+def _guarded_field(q: int, k: int):
+    """GF(q), once the enumeration guard admits q^k.  Called before a k-row
+    generator is built; a q that is no field order is refused first."""
+    fld = build_field(q)
+    _check_guard(q, k)
+    return fld
+
+
 def identity_code(q: int, k: int) -> LinearCode:
     """The [k, k]_q code with identity generator."""
     if k < 1:
@@ -47,8 +55,7 @@ def simplex(q: int, k: int) -> LinearCode:
     """
     if k < 1:
         raise ValueError("dimension must be >= 1")
-    _check_guard(q, k)  # before the (q^k - 1)/(q - 1) columns are built, not at the first report
-    fld = build_field(q)
+    fld = _guarded_field(q, k)  # before the (q^k - 1)/(q - 1) columns are built, not at the first report
     gen = tuple(zip(*projective_representatives(fld, k)))
     return LinearCode(field=fld, generator=gen)
 
@@ -90,6 +97,7 @@ def mws_pipeline(q: int, k: int, source: str | LinearCode = "identity") -> tuple
         base = source
         source_name = "external"
     elif source == "identity":
+        _guarded_field(q, k)  # before the k x k generator is built, not at the base's report
         base = identity_code(q, k)
         source_name = "identity"
     elif source == "simplex":

@@ -22,7 +22,10 @@ draws of trial_rng(seed, i) (_draws).  The scans do not create that RNG:
 _trial_draws computes the same draws for a whole batch of trials with
 integer array arithmetic, and only a trial it cannot compute exactly (a
 rejected word in numpy's bounded draw, or an index of 2^32 or more) goes
-through trial_rng.
+through trial_rng.  A scan takes its trials' first draws ahead of its
+batches, at most one enumeration block of entries at a time, so that its
+small first batches share one _trial_draws call; the constants that call
+needs are computed once per seed, round and shape (_replay_plan).
 
 Exhaustive mode enumerates systematic generators [I | A] only.  Every
 full-rank code is permutation-equivalent to a systematic one and coordinate
@@ -33,6 +36,7 @@ has rank k by construction, so these candidates need no rank test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -148,15 +152,57 @@ def _hash_chain(start: int, mult: int, count: int) -> np.ndarray:
 _STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's, for 8 words
 
 
-def _mul128(xh, xl, ah, al):
-    """(xh, xl) * (ah, al) mod 2^128 on uint64 (high, low) halves; the low
-    halves' full product goes through 32-bit limbs."""
+def _limbs(a: int) -> tuple:
+    """A 128-bit constant as np.uint64 scalars: its high half, its low half
+    and the low half's two 32-bit limbs."""
+    low = a & _M64
+    return tuple(np.uint64(v) for v in (a >> 64, low, low & _M32, low >> 32))
+
+
+def _mul_const(xh, xl, a):
+    """(xh, xl) * a mod 2^128 on uint64 (high, low) arrays, for a constant a
+    in _limbs form; the low halves' full product goes through 32-bit limbs."""
+    ah, al, a0, a1 = a
     x0, x1 = xl & _M32, xl >> 32
-    a0, a1 = al & _M32, al >> 32
     p00, p01, p10 = x0 * a0, x0 * a1, x1 * a0
     mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
     high = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + xh * al + xl * ah
     return high, xl * al
+
+
+def _add128(x, y):
+    """x + y mod 2^128 on uint64 (high, low) pairs."""
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < x[1]), low
+
+
+@functools.lru_cache(maxsize=64)
+def _replay_plan(seed: int, r: int, q: int, kn: int) -> tuple:
+    """What _trial_draws needs for draw r of k n = kn entries, whatever the
+    trials: the seed's entropy pool, the spawn word's hash constants, the
+    word range (first, then the outputs m0 .. m1 - 1 holding it) and the
+    LCG constants (M^j, sum_{i<j} M^i) in _limbs form, for j = m0 + 2 and
+    for each doubling step h = 1, 2, 4, ... below m1 - m0."""
+    pool = np.random.SeedSequence(seed).pool  # refuses a negative seed
+    # the spawn word's hash constants follow the ones that built the pool:
+    # 4 to fill the pool, 12 to mix it, and 4 per seed word past the fourth
+    calls = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
+    start, mult = _ENTROPY_HASH
+    spawn = _hash_chain(start * pow(mult, calls, 2**32) & _M32, mult, 4)
+    reject = 2**32 % q
+    first = 0 if reject else r * kn  # the words to check or read
+    m0, m1 = first // 2, ((r + 1) * kn + 1) // 2  # the 64-bit outputs holding them
+    # j steps of x -> M x + c take x to M^j x + (sum_{i<j} M^i) c; the
+    # binary powers (a, s) of that map compose into j = m0 + 2 and are the
+    # doubling steps themselves
+    j, a, s, jump, steps = m0 + 2, _PCG_MULT, 1, (1, 0), []
+    for bit in range(max(j, m1 - m0 - 1).bit_length()):
+        if j >> bit & 1:
+            jump = (jump[0] * a % 2**128, (jump[1] * a + s) % 2**128)
+        if 1 << bit < m1 - m0:
+            steps.append((1 << bit, _limbs(a), _limbs(s)))
+        a, s = a * a % 2**128, s * (a + 1) % 2**128
+    return pool, spawn, reject, first, m0, m1, tuple(map(_limbs, jump)), tuple(steps)
 
 
 def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
@@ -169,37 +215,28 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
     trial's spawn word into it and generates 8 words: PCG64's initial
     state s and sequence; only these two hashes are replayed.  PCG64 seeds
     its LCG x -> M x + c, c = 2 sequence + 1, by one step from 0, adding s
-    and one more step, so its m-th output comes from M^(m+2) (s + c) +
-    (sum_{i<m+2} M^i) c mod 2^128, computed for every m at once, through
-    the XSL-RR output; each 64-bit output gives two 32-bit words, low half
-    first.  integers(0, q) maps word u to u q >> 32, but rejects u when
-    u q mod 2^32 < 2^32 mod q (never for q a power of 2): the draw holds
-    words r k n .. (r + 1) k n - 1 only when no earlier word was rejected.
-    A trial with a rejected word, or an index of 2^32 or more (two spawn
-    words), is left to the caller.  Trials are taken in slices so that no
-    array exceeds one enumeration block, BLOCK_ROWS x n entries.
+    and one more step, so its m-th output comes from state j = m + 2,
+    M^j (s + c) + (sum_{i<j} M^i) c mod 2^128, through the XSL-RR output;
+    each 64-bit output gives two 32-bit words, low half first.  The first
+    state needed is computed by that formula and the rest by doubling: the
+    h states after the first h are M^h times them plus (sum_{i<h} M^i) c,
+    for h = 1, 2, 4, ..., one product by a 128-bit constant per state.
+    integers(0, q) maps word u to u q >> 32, but rejects u when u q mod
+    2^32 < 2^32 mod q (never for q a power of 2): the draw holds words
+    r k n .. (r + 1) k n - 1 only when no earlier word was rejected.  A
+    trial with a rejected word, or an index of 2^32 or more (two spawn
+    words), is left to the caller.  The constants that depend only on
+    (seed, r, q, k n) come from _replay_plan, once per scan and round.
+    Trials are taken in slices so that no array exceeds one enumeration
+    block, BLOCK_ROWS x n entries.
     """
-    pool = np.random.SeedSequence(seed).pool  # refuses a negative seed
-    # the spawn word's hash constants follow the ones that built the pool:
-    # 4 to fill the pool, 12 to mix it, and 4 per seed word past the fourth
-    calls = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
-    start, mult = _ENTROPY_HASH
-    spawn = _hash_chain(start * pow(mult, calls, 2**32) & _M32, mult, 4)
-    trials = np.asarray(trials, dtype=np.int64)
     kn = k * n
-    reject = 2**32 % q
-    first = 0 if reject else r * kn  # the words to check or read
-    m0, m1 = first // 2, ((r + 1) * kn + 1) // 2  # the 64-bit outputs holding them
-    a, c, jumps = 1, 0, []
-    for m in range(m1 + 2):
-        if m >= m0 + 2:
-            jumps.append([[a >> 64, c >> 64], [a & _M64, c & _M64]])
-        a, c = a * _PCG_MULT % 2**128, (c * _PCG_MULT + 1) % 2**128
-    jh, jl = np.array(jumps, dtype=np.uint64).transpose(1, 2, 0)  # (2, J) each: M^j, sum M^i
-
+    pool, spawn, reject, first, m0, m1, (jump_m, jump_s), steps = _replay_plan(seed, r, q, kn)
+    trials = np.asarray(trials, dtype=np.int64)
+    outputs = m1 - m0
     gens = np.empty((len(trials), k, n), dtype=np.int64)
     slow = trials >> 32 != 0
-    step = max(1, codes.BLOCK_ROWS * n // (2 * len(jumps)))
+    step = max(1, codes.BLOCK_ROWS * n // (2 * outputs))
     for lo in range(0, len(trials), step):
         part = slice(lo, lo + step)
         # the spawn word into the pool, then the pool into 8 state words;
@@ -211,18 +248,21 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
         v = (np.concatenate([v, v], axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
         v ^= v >> 16
         words = v.astype("<u4").view("<u8").astype(np.uint64)  # s high, s low, seq high, low
-        inc_h = words[:, 2:3] << 1 | words[:, 3:4] >> 63
-        inc_l = words[:, 3:4] << 1 | 1
-        x_l = inc_l + words[:, 1:2]
-        x_h = inc_h + words[:, 0:1] + (x_l < inc_l)
-        # every output state at once: M^j (s + c) + (sum_{i<j} M^i) c
-        high, low = _mul128(np.concatenate([x_h, inc_h], axis=1)[:, :, None],
-                            np.concatenate([x_l, inc_l], axis=1)[:, :, None], jh, jl)
-        low_sum = low[:, 0] + low[:, 1]
-        high = high[:, 0] + high[:, 1] + (low_sum < low[:, 0])
-        v, rot = high ^ low_sum, high >> 58
+        inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
+        x_l = inc[1] + words[:, 1]
+        x = (inc[0] + words[:, 0] + (x_l < inc[1]), x_l)
+        # the output states, one row per output: the first from the formula,
+        # then each doubling step fills the next h rows from the first h
+        st_h = np.empty((outputs, len(x_l)), dtype=np.uint64)
+        st_l = np.empty_like(st_h)
+        st_h[0], st_l[0] = _add128(_mul_const(*x, jump_m), _mul_const(*inc, jump_s))
+        for h, mult, total in steps:
+            top = min(2 * h, outputs)
+            st_h[h:top], st_l[h:top] = _add128(
+                _mul_const(st_h[:top - h], st_l[:top - h], mult), _mul_const(*inc, total))
+        v, rot = st_h ^ st_l, st_h >> 58
         out = v >> rot | v << (-rot & 63)
-        stream = out.astype("<u8").view("<u4")  # each output's low half first
+        stream = out.T.astype("<u8", order="C").view("<u4")  # each output's low half first
         scaled = stream[:, first - 2 * m0:(r + 1) * kn - 2 * m0].astype(np.uint64) * q
         if reject:
             slow[part] |= ((scaled & _M32) < reject).any(axis=1)
@@ -275,9 +315,13 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
 
     Candidate i is trial i's code in random mode and the i-th systematic
     generator in exhaustive mode.  Random draws come from _trial_draws, and
-    from trial_rng for the trials it leaves out.  A rank-deficient draw (bin
-    0 not empty) is replaced by its trial's next draw: the batch's deficient
-    trials draw again together until each has full rank."""
+    from trial_rng for the trials it leaves out.  The first draws are taken
+    ahead of the ramp, max(batch, min(full batch, BLOCK_ROWS // (k n)))
+    trials at a time, so that the small batches share one _trial_draws call
+    while the draws held never exceed the larger of one block of entries
+    and the batch.  A rank-deficient draw (bin 0 not empty) is replaced by
+    its trial's next draw: the batch's deficient trials draw again together
+    until each has full rank."""
     if k < 1:
         raise ValueError("generator needs at least one row")
     if n < k:
@@ -292,11 +336,17 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
         return gens
 
     most = _full_batch(q, k)
+    ahead = min(most, codes.BLOCK_ROWS // (k * n))
+    drawn_lo, drawn = lo, np.empty((0, k, n), dtype=np.int64)  # first draws of drawn_lo, ...
     size = 1
     while lo < hi:
         top = min(lo + size, hi)
         if mode == "random":
-            gens = draw(np.arange(lo, top), 0)
+            end = drawn_lo + len(drawn)
+            if top > end:  # draw ahead, up to one block of entries past lo
+                fresh = draw(np.arange(end, min(lo + max(size, ahead), hi)), 0)
+                drawn, drawn_lo = np.concatenate([drawn[lo - drawn_lo:], fresh]), lo
+            gens = drawn[lo - drawn_lo:top - drawn_lo]
         else:
             gens = _systematic(q, k, n, lo, top)
         hist, distinct = _histograms(fld, gens.transpose(1, 0, 2), supports)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -171,6 +172,39 @@ def test_construct_simplex_trips_the_guard_before_building(capsys, monkeypatch, 
     status, payload = run(capsys, *argv)
     assert status == 3
     assert payload["error"] == "EnumerationTooLargeError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "identity", "--q", "3", "--k", "30000"],
+    ["construct", "embed", "--q", "3", "--k", "30000", "--source", "identity"],
+    ["construct", "embed", "--q", "3", "--k", "30000"],  # identity is the default source
+])
+def test_construct_identity_trips_the_guard_before_building(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MWSCODES_MAX_ENUM", raising=False)
+    monkeypatch.setattr(importlib.import_module("mwscodes.constructions"),
+                        "identity_code", None)  # a call would be a TypeError
+    status, payload = run(capsys, *argv)
+    assert status == 3
+    assert payload["error"] == "EnumerationTooLargeError"
+
+
+@pytest.mark.parametrize("kind", ["simplex", "identity", "embed"])
+def test_construct_refuses_a_non_field_order_before_the_guard(capsys, kind):
+    # 6^40 is past the guard too, but the order is the input's real fault
+    status, payload = run(capsys, "construct", kind, "--q", "6", "--k", "40")
+    assert status == 2
+    assert payload["error"] == "NotPrimePowerError"
+
+
+@pytest.mark.parametrize("kind", ["simplex", "identity", "embed"])
+def test_construct_with_a_huge_k_trips_the_guard_at_once(capsys, monkeypatch, kind):
+    # the guard must not compute 3**100000000 to refuse it
+    monkeypatch.delenv("MWSCODES_MAX_ENUM", raising=False)
+    t0 = time.monotonic()
+    status, payload = run(capsys, "construct", kind, "--q", "3", "--k", "100000000")
+    assert status == 3
+    assert payload["error"] == "EnumerationTooLargeError"
+    assert time.monotonic() - t0 < 5
 
 
 def test_search_guard_exit_code(capsys):

@@ -27,7 +27,7 @@ from mwscodes import (
     weighted_weight,
 )
 from mwscodes import codes
-from mwscodes.codes import RankDeficientError, codeword_matrix
+from mwscodes.codes import RankDeficientError, _check_guard, codeword_matrix
 
 
 def make_code(q, rows, mult=()):
@@ -170,6 +170,19 @@ def test_spectrum_guard_env_override(monkeypatch):
     monkeypatch.setenv("MWSCODES_MAX_ENUM", "16")
     with pytest.raises(EnumerationTooLargeError):
         weight_spectrum(identity_code(2, 5))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 9])
+def test_guard_verdict_is_q_to_the_k_above_the_limit(q, k, monkeypatch):
+    for limit in sorted({0, 1, q**k - 1, q**k, q**k + 1}):
+        monkeypatch.setenv("MWSCODES_MAX_ENUM", str(limit))
+        try:
+            _check_guard(q, k)
+            refused = False
+        except EnumerationTooLargeError:
+            refused = True
+        assert refused == (q**k > limit), (q, k, limit)
 
 
 # -- predicates ---------------------------------------------------------------

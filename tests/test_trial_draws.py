@@ -146,3 +146,52 @@ def test_random_mode_calls_trial_rng_only_for_flagged_trials(monkeypatch):
     search(SearchConfig(q=2, k=3, n_lo=3, n_hi=4, trials=300, seed=1))
     estimate_expectation(2, 2, 21, samples=300, seed=3)
     gv_qm_search(4, 2, trials=50, seed=0)
+
+
+# (q, k, n): q with rejection (3, 5, 7) and without (2, 4, 8); square and
+# near-square shapes whose rank-deficient draws take redraw rounds; output
+# counts J = 1 (k n <= 2 in round 0 and in every redraw over q = 2), J not a
+# power of two, and J = 1757 at n = 1757
+DRAW_AHEAD_SHAPES = [(2, 1, 1), (2, 3, 3), (3, 1, 2), (3, 2, 2), (4, 2, 3), (5, 2, 2),
+                     (7, 2, 5), (8, 3, 3), (7, 2, 1757), (4, 1, 1757)]
+
+
+@pytest.mark.parametrize("block_rows", [7, 40])
+@pytest.mark.parametrize("q,k,n", DRAW_AHEAD_SHAPES)
+def test_scan_matches_reference_across_draw_ahead_edges(q, k, n, block_rows, monkeypatch):
+    # a small block puts the edges of the draw-ahead window both on ramp
+    # batches and inside them; the scan must still give trial_rng's codes
+    monkeypatch.setattr(codes, "BLOCK_ROWS", block_rows)
+    lo, hi = (3, 43) if n < 100 else (1, 13)
+    batches = candidates(q, k, n, 11, lo, hi)
+    assert [first for first, _, _ in batches] == list(
+        itertools.accumulate([len(batch) for _, batch, _ in batches[:-1]], initial=lo))
+    gens = [g for _, batch, _ in batches for g in batch]
+    assert gens == reference_candidates(q, k, n, 11, lo, hi)
+
+
+@pytest.mark.parametrize("block_rows", [None, 40])
+@pytest.mark.parametrize("q,k,n,gv", [(2, 3, 3, False), (2, 3, 40, False), (2, 2, 9000, False),
+                                      (2, 4, 0, True), (2, 6, 0, True)])
+def test_an_early_witness_draws_at_most_one_window(q, k, n, gv, block_rows, monkeypatch):
+    # binary codes are QM, so trial 0 is the witness: its search may draw no
+    # more first draws than one window ahead of the ramp's first batch
+    if block_rows is not None:
+        monkeypatch.setattr(codes, "BLOCK_ROWS", block_rows)
+    real, counted = search_mod._trial_draws, []
+
+    def counting(seed, trials, r, q, k, n):
+        if r == 0:
+            counted.append(len(trials))
+        return real(seed, trials, r, q, k, n)
+
+    monkeypatch.setattr(search_mod, "_trial_draws", counting)
+    if gv:
+        report = gv_qm_search(q, k, trials=10**6, seed=2)
+        n, trial = report["n"], report["witness_trial"]
+    else:
+        report = search(SearchConfig(q=q, k=k, n_lo=n, n_hi=n, target="qm", trials=10**6, seed=2))
+        trial = report["lengths"][0]["witness_trial"]
+    assert trial == 0
+    window = max(1, min(search_mod._full_batch(q, k), codes.BLOCK_ROWS // (k * n)))
+    assert 0 < sum(counted) <= window
