@@ -15,13 +15,19 @@ from .codes import LinearCode
 from .gf import build_field
 
 
-def dumps_code(code: LinearCode) -> str:
-    lines = [f"{code.q} {code.k} {code.n}"]
-    if not code.is_plain:
-        lines.append(" ".join(str(m) for m in code.multiplicities))
-    for row in code.generator:
+def _dumps_rows(q: int, rows, multiplicities=()) -> str:
+    """The text of k x n generator rows over GF(q), unchecked; the
+    multiplicity line is written only when multiplicities are given."""
+    lines = [f"{q} {len(rows)} {len(rows[0])}"]
+    if multiplicities:
+        lines.append(" ".join(str(m) for m in multiplicities))
+    for row in rows:
         lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def dumps_code(code: LinearCode) -> str:
+    return _dumps_rows(code.q, code.generator, () if code.is_plain else code.multiplicities)
 
 
 def loads_code(text: str) -> LinearCode:

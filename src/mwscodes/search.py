@@ -1,18 +1,19 @@
 """Randomized and exhaustive searches for QM / MWS codes.
 
-Random, exhaustive and GV searches share one candidate scan, _scan_chunk,
-which returns the first accepted candidate of an index range.  Search and
-Monte-Carlo share one runner, _run_chunks, which runs the index space as one
-task, or in chunks in a process pool, where a search stops at the first
-chunk with a witness and cancels the chunks after it.  A chunk is never
-smaller than one full enumeration batch (_full_batch), so a pool starts only
-when each chunk has that much work to pay for the pool's start; a smaller
-space runs in this process whatever the worker count.
+Random, exhaustive and GV searches (a GV search is a random QM scan) share
+one candidate scan, _scan_chunk, which returns the first accepted candidate
+of an index range.  Search and Monte-Carlo share one runner, _run_chunks,
+which runs the index space as one task, or in chunks in a process pool,
+where a search stops at the first chunk with a witness and cancels the
+chunks after it.  A chunk never holds fewer candidates than BLOCK_ROWS
+projective words (_full_batch), so a pool starts only when each chunk has
+that much work to pay for the pool's start; a smaller space runs in this
+process whatever the worker count.
 
 A scan stacks its candidates in batches (_candidates) and reads each
 verdict off the candidate's weight histogram, or its supports for QM over
-q > 2.  Only a witness becomes a LinearCode, re-verified from its
-serialized text through the public predicates.
+q > 2.  A witness is written out as matrix text, and only that text becomes
+a LinearCode, re-verified through the public predicates.
 
 Determinism contract: every trial derives its RNG purely from (seed, trial
 index), and witness selection always picks the smallest successful index.
@@ -22,10 +23,10 @@ draws of trial_rng(seed, i) (_draws).  The scans do not create that RNG:
 _trial_draws computes the same draws for a whole batch of trials with
 integer array arithmetic, and only a trial it cannot compute exactly (a
 rejected word in numpy's bounded draw, or an index of 2^32 or more) goes
-through trial_rng.  A scan takes its trials' first draws ahead of its
-batches, at most one enumeration block of entries at a time, so that its
-small first batches share one _trial_draws call; the constants that call
-needs are computed once per seed, round and shape (_replay_plan).
+through trial_rng.  One bound caps both a scan's batches and the first
+draws it takes ahead of them, so that its small first batches share one
+_trial_draws call and no array outgrows one enumeration block; the
+constants that call needs come once per seed, round and shape (_replay_plan).
 
 Exhaustive mode enumerates systematic generators [I | A] only.  Every
 full-rank code is permutation-equivalent to a systematic one and coordinate
@@ -56,7 +57,7 @@ from .codes import (
     projective_representative_count,
 )
 from .gf import _prime_power_decomposition, build_field
-from .matrixio import dumps_code, loads_code
+from .matrixio import _dumps_rows, loads_code
 
 DEFAULT_SPACE_GUARD = 2**30
 
@@ -227,46 +228,42 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
     trial with a rejected word, or an index of 2^32 or more (two spawn
     words), is left to the caller.  The constants that depend only on
     (seed, r, q, k n) come from _replay_plan, once per scan and round.
-    Trials are taken in slices so that no array exceeds one enumeration
-    block, BLOCK_ROWS x n entries.
+    The arrays hold (r + 1) k n / 2 outputs per trial, so the caller bounds
+    their size by the trials it passes.
     """
     kn = k * n
     pool, spawn, reject, first, m0, m1, (jump_m, jump_s), steps = _replay_plan(seed, r, q, kn)
     trials = np.asarray(trials, dtype=np.int64)
     outputs = m1 - m0
-    gens = np.empty((len(trials), k, n), dtype=np.int64)
+    # the spawn word into the pool, then the pool into 8 state words;
+    # uint32 arithmetic wraps mod 2^32 as SeedSequence's does
+    v = ((trials[:, None] & _M32).astype(np.uint32) ^ spawn[:-1]) * spawn[1:]
+    v ^= v >> 16
+    v = _MIX_L * pool - _MIX_R * v
+    v ^= v >> 16
+    v = (np.concatenate([v, v], axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    v ^= v >> 16
+    words = v.astype("<u4").view("<u8").astype(np.uint64)  # s high, s low, seq high, low
+    inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
+    x_l = inc[1] + words[:, 1]
+    x = (inc[0] + words[:, 0] + (x_l < inc[1]), x_l)
+    # the output states, one row per output: the first from the formula,
+    # then each doubling step fills the next h rows from the first h
+    st_h = np.empty((outputs, len(trials)), dtype=np.uint64)
+    st_l = np.empty_like(st_h)
+    st_h[0], st_l[0] = _add128(_mul_const(*x, jump_m), _mul_const(*inc, jump_s))
+    for h, mult, total in steps:
+        top = min(2 * h, outputs)
+        st_h[h:top], st_l[h:top] = _add128(
+            _mul_const(st_h[:top - h], st_l[:top - h], mult), _mul_const(*inc, total))
+    v, rot = st_h ^ st_l, st_h >> 58
+    out = v >> rot | v << (-rot & 63)
+    stream = out.T.astype("<u8", order="C").view("<u4")  # each output's low half first
+    scaled = stream[:, first - 2 * m0:(r + 1) * kn - 2 * m0].astype(np.uint64) * q
     slow = trials >> 32 != 0
-    step = max(1, codes.BLOCK_ROWS * n // (2 * outputs))
-    for lo in range(0, len(trials), step):
-        part = slice(lo, lo + step)
-        # the spawn word into the pool, then the pool into 8 state words;
-        # uint32 arithmetic wraps mod 2^32 as SeedSequence's does
-        v = ((trials[part, None] & _M32).astype(np.uint32) ^ spawn[:-1]) * spawn[1:]
-        v ^= v >> 16
-        v = _MIX_L * pool - _MIX_R * v
-        v ^= v >> 16
-        v = (np.concatenate([v, v], axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
-        v ^= v >> 16
-        words = v.astype("<u4").view("<u8").astype(np.uint64)  # s high, s low, seq high, low
-        inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
-        x_l = inc[1] + words[:, 1]
-        x = (inc[0] + words[:, 0] + (x_l < inc[1]), x_l)
-        # the output states, one row per output: the first from the formula,
-        # then each doubling step fills the next h rows from the first h
-        st_h = np.empty((outputs, len(x_l)), dtype=np.uint64)
-        st_l = np.empty_like(st_h)
-        st_h[0], st_l[0] = _add128(_mul_const(*x, jump_m), _mul_const(*inc, jump_s))
-        for h, mult, total in steps:
-            top = min(2 * h, outputs)
-            st_h[h:top], st_l[h:top] = _add128(
-                _mul_const(st_h[:top - h], st_l[:top - h], mult), _mul_const(*inc, total))
-        v, rot = st_h ^ st_l, st_h >> 58
-        out = v >> rot | v << (-rot & 63)
-        stream = out.T.astype("<u8", order="C").view("<u4")  # each output's low half first
-        scaled = stream[:, first - 2 * m0:(r + 1) * kn - 2 * m0].astype(np.uint64) * q
-        if reject:
-            slow[part] |= ((scaled & _M32) < reject).any(axis=1)
-        gens[part] = (scaled[:, -kn:] >> 32).reshape(-1, k, n)
+    if reject:
+        slow |= ((scaled & _M32) < reject).any(axis=1)
+    gens = (scaled[:, -kn:] >> 32).astype(np.int64).reshape(-1, k, n)
     return gens, slow
 
 
@@ -302,8 +299,9 @@ def _systematic(q: int, k: int, n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _full_batch(q: int, k: int) -> int:
-    """Candidates in one full batch of _candidates: BLOCK_ROWS projective
-    words, at least one candidate.  BLOCK_ROWS is read at call time."""
+    """Candidates in BLOCK_ROWS projective words, at least one: the pool's
+    smallest chunk and a cap on _candidates' batches.  BLOCK_ROWS is read
+    at call time."""
     return max(1, codes.BLOCK_ROWS // projective_representative_count(q, k))
 
 
@@ -311,21 +309,18 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
                 supports: bool):
     """Yield (first index, generators (B, k, n), histograms, distinct support
     counts) for candidates lo..hi-1 in batches of 1, 2, 4, ... candidates,
-    up to BLOCK_ROWS projective words, so that an early witness costs little.
+    so that an early witness costs little, up to most = min(full batch,
+    BLOCK_ROWS // (k n)) candidates: at most BLOCK_ROWS projective words and
+    BLOCK_ROWS matrix entries, and at least one candidate.
 
     Candidate i is trial i's code in random mode and the i-th systematic
     generator in exhaustive mode.  Random draws come from _trial_draws, and
     from trial_rng for the trials it leaves out.  The first draws are taken
-    ahead of the ramp, max(batch, min(full batch, BLOCK_ROWS // (k n)))
-    trials at a time, so that the small batches share one _trial_draws call
-    while the draws held never exceed the larger of one block of entries
-    and the batch.  A rank-deficient draw (bin 0 not empty) is replaced by
-    its trial's next draw: the batch's deficient trials draw again together
+    ahead of the ramp, up to most trials past the batch's first, so that the
+    small batches share one _trial_draws call and no call draws more than
+    most trials.  A rank-deficient draw (bin 0 not empty) is replaced by its
+    trial's next draw: the batch's deficient trials draw again together
     until each has full rank."""
-    if k < 1:
-        raise ValueError("generator needs at least one row")
-    if n < k:
-        raise ValueError("need n >= k for a full-rank k x n matrix")
     fld = build_field(q)
 
     def draw(trials, r):
@@ -335,16 +330,15 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
             gens[j] = next(itertools.islice(_draws(q, k, n, rng), r, None))
         return gens
 
-    most = _full_batch(q, k)
-    ahead = min(most, codes.BLOCK_ROWS // (k * n))
+    most = max(1, min(_full_batch(q, k), codes.BLOCK_ROWS // (k * n)))
     drawn_lo, drawn = lo, np.empty((0, k, n), dtype=np.int64)  # first draws of drawn_lo, ...
     size = 1
     while lo < hi:
         top = min(lo + size, hi)
         if mode == "random":
             end = drawn_lo + len(drawn)
-            if top > end:  # draw ahead, up to one block of entries past lo
-                fresh = draw(np.arange(end, min(lo + max(size, ahead), hi)), 0)
+            if top > end:  # draw ahead, up to most trials past lo
+                fresh = draw(np.arange(end, min(lo + most, hi)), 0)
                 drawn, drawn_lo = np.concatenate([drawn[lo - drawn_lo:], fresh]), lo
             gens = drawn[lo - drawn_lo:top - drawn_lo]
         else:
@@ -363,38 +357,33 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
         lo, size = top, min(2 * size, most)
 
 
-def _scan_chunk(args) -> tuple[int, str, bool | str] | None:
-    """Scan candidates lo..hi-1 and return (index, matrix text, acceptance)
-    for the first accepted one, or None.  The verdicts are read off each
-    batch's histograms: MWS when no bin holds two words, QM when the
-    supports are distinct (always over GF(2)), and for "gv", which asks for
-    a QM code and says which check accepted it, the d/N condition on the
-    first nonzero bin before the supports."""
+def _scan_chunk(args) -> tuple[int, str, int] | None:
+    """Scan candidates lo..hi-1 and return (index, matrix text, minimum
+    distance) for the first accepted one, or None.  The verdicts are read off
+    each batch's histograms: MWS when no bin holds two words, QM when the
+    supports are distinct (always over GF(2)); the minimum distance is the
+    first nonzero bin after bin 0."""
     q, k, n, mode, seed, target, lo, hi = args
-    supports = target != "mws" and q > 2
+    supports = target == "qm" and q > 2
     ceiling = projective_representative_count(q, k)
     for first, gens, hist, distinct in _candidates(q, k, n, mode, seed, lo, hi, supports):
         if target == "mws":
             ok = (hist <= 1).all(axis=1)
         else:
             ok = distinct == ceiling if supports else np.full(len(hist), True)
-        if target == "gv":
-            by_dn = ((hist[:, 1:] > 0).argmax(axis=1) + 1) * (q - 1) > (q - 2) * n
-            ok = by_dn | ok
         hits = np.flatnonzero(ok)
         if len(hits):
             j = int(hits[0])
-            code = LinearCode(field=build_field(q), generator=tuple(map(tuple, gens[j].tolist())))
-            accepted = True if target != "gv" else "sufficient_dn" if by_dn[j] else "support_check"
-            return first + j, dumps_code(code), accepted
+            distance = int(np.flatnonzero(hist[j, 1:])[0]) + 1
+            return first + j, _dumps_rows(q, gens[j].tolist()), distance
     return None
 
 
 def _run_chunks(worker, args, total: int, workers: int, stop=None) -> list:
     """Run worker((*args, lo, hi)) over range(total), where args begin with
     q, k.  A chunk holds max(_full_batch(q, k), ceil(total / workers / 4))
-    indices, for about 4 chunks per worker, but never less than one full
-    batch, whose enumeration costs at least as much as starting a pool.  With one worker,
+    indices, for about 4 chunks per worker, but never fewer than BLOCK_ROWS
+    projective words, whose enumeration costs at least as much as starting a pool.  With one worker,
     or when that leaves one chunk, the range runs in this process as one task
     and no pool starts; else the chunks run in a pool of at most one process
     per chunk, which is shut down before this returns.
@@ -489,15 +478,17 @@ def _search_length(config: SearchConfig, n: int) -> dict:
 def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
     """Random search for a QM code at the GV-type length n = ceil(k lambda_q).
 
-    Acceptance tries the cheap d/N sufficient condition first and falls back
-    to the full support comparison; the report says which path fired.  Not
+    A QM scan: the d/N condition d (q-1) > (q-2) n implies QM (two
+    independent words of one support S give (q-1) d <= (q-2) |S|), so the
+    report reads off the witness's distance which check accepts it.  Not
     finding a witness within the trial budget is an outcome, not an error.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = math.ceil(k * lambda_q(q))
+    _check_field_and_dimension(q, k)
     t0 = time.monotonic()
-    hit = _scan_chunk((q, k, n, "random", seed, "gv", 0, trials))
+    hit = _scan_chunk((q, k, n, "random", seed, "qm", 0, trials))
     report = {
         "q": q,
         "k": k,
@@ -509,11 +500,11 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
         "wall_clock_seconds": time.monotonic() - t0,
     }
     if hit is not None:
-        index, text, path = hit
+        index, text, d = hit
         report.update(
             {
                 "witness_trial": index,
-                "acceptance_path": path,
+                "acceptance_path": "sufficient_dn" if d * (q - 1) > (q - 2) * n else "support_check",
                 "witness": _witness_entry(text, "qm"),
             }
         )
@@ -572,6 +563,8 @@ def estimate_expectation(
     np.random.SeedSequence(seed)  # refuses a negative seed
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if n < k:
+        raise ValueError("need n >= k for a full-rank k x n matrix")
     t0 = time.monotonic()
     results = _run_chunks(_expectation_chunk, (q, k, n, seed), samples, workers)
     total = sum(r[0] for r in results)

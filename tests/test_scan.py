@@ -3,9 +3,11 @@
 The reference builds every candidate as a LinearCode (random_code, or
 [I | A] written out entry by entry) and judges it with the slow predicates
 of reference.py.  The scan must accept the same candidates, with the same
-matrix text and acceptance, and the Monte-Carlo chunk must return the same
-exact sums, at the default block size and at block sizes that split both
-the batches and the codes.
+matrix text and minimum distance, and the Monte-Carlo chunk must return the
+same exact sums, at the default block size and at block sizes that split
+both the batches and the codes.  A GV search is a QM scan: the reference
+accepts a GV candidate by the d/N condition or else by its supports, and
+must accept the same candidates by the same path.
 """
 
 import importlib
@@ -73,23 +75,29 @@ def reference_accepts(target, code):
 
 
 def reference_hits(q, k, n, mode, seed, target, lo, hi):
-    """Every accepted candidate of lo..hi-1 as (index, matrix text, acceptance)."""
+    """Every accepted candidate of lo..hi-1 as (index, matrix text, minimum
+    distance, acceptance)."""
     hits = []
     for i in range(lo, hi):
         code = random_code(q, k, n, trial_rng(seed, i)) if mode == "random" \
             else systematic(q, k, n, i)
         accepted = reference_accepts(target, code)
         if accepted:
-            hits.append((i, dumps_code(code), accepted))
+            hits.append((i, dumps_code(code), min(reference.spectrum(code)), accepted))
     return hits
 
 
 def scan_hits(q, k, n, mode, seed, target, lo, hi):
-    """The same list from repeated scans, each starting after the last hit."""
+    """The same list from repeated scans, each starting after the last hit;
+    "gv" scans for QM and reads the path off the distance, as gv_qm_search."""
     hits = []
-    while (hit := search_mod._scan_chunk((q, k, n, mode, seed, target, lo, hi))) is not None:
-        hits.append(hit)
-        lo = hit[0] + 1
+    scanned = "qm" if target == "gv" else target
+    while (hit := search_mod._scan_chunk((q, k, n, mode, seed, scanned, lo, hi))) is not None:
+        index, text, distance = hit
+        accepted = True if target != "gv" else \
+            "sufficient_dn" if distance * (q - 1) > (q - 2) * n else "support_check"
+        hits.append((index, text, distance, accepted))
+        lo = index + 1
     return hits
 
 
@@ -182,10 +190,12 @@ def test_scan_without_witness_builds_no_code(built):
     assert built == []
 
 
-def test_scan_with_witness_builds_the_witness_and_its_recheck(built):
+def test_scan_with_witness_builds_only_its_recheck(built):
+    # the scan writes the witness's text itself; only the re-verification
+    # reads it back into a LinearCode
     report = search(SearchConfig(q=3, k=2, n_lo=6, n_hi=6, mode="exhaustive"))
     witness = report["lengths"][0]["witness"]["matrix"]
-    assert [dumps_code(code) for code in built] == [witness, witness]
+    assert [dumps_code(code) for code in built] == [witness]
     built.clear()
     report = gv_qm_search(3, 2, trials=50, seed=0)
-    assert [dumps_code(code) for code in built] == [report["witness"]["matrix"]] * 2
+    assert [dumps_code(code) for code in built] == [report["witness"]["matrix"]]

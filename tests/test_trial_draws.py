@@ -84,14 +84,6 @@ def test_kernel_flags_trials_past_two_to_the_32():
     assert np.array_equal(gens[0], reference_draw(3, 2**32 - 1, 1, 4, 2, 5))
 
 
-def test_kernel_slices_below_the_block_size(monkeypatch):
-    trials = np.arange(40)
-    expected = search_mod._trial_draws(5, trials, 2, 3, 3, 7)
-    monkeypatch.setattr(codes, "BLOCK_ROWS", 1)  # one trial per slice
-    gens, slow = search_mod._trial_draws(5, trials, 2, 3, 3, 7)
-    assert np.array_equal(gens, expected[0]) and np.array_equal(slow, expected[1])
-
-
 def test_kernel_refuses_a_negative_seed():
     # np.random.SeedSequence(seed) refuses it; this is numpy's message
     with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -195,3 +187,30 @@ def test_an_early_witness_draws_at_most_one_window(q, k, n, gv, block_rows, monk
     assert trial == 0
     window = max(1, min(search_mod._full_batch(q, k), codes.BLOCK_ROWS // (k * n)))
     assert 0 < sum(counted) <= window
+
+
+def test_long_codes_draw_and_count_at_most_one_bound_per_call(monkeypatch):
+    # at the GV length 1757 of (7, 2) one block of BLOCK_ROWS entries holds
+    # 18 trials' 2 x 1757 matrices, against 8192 candidates in a full batch:
+    # no kernel call may draw, and no histogram pass count, more than 18
+    sizes = []
+    real_draws, real_histograms = search_mod._trial_draws, search_mod._histograms
+
+    def drawing(seed, trials, r, q, k, n):
+        sizes.append(len(trials))
+        return real_draws(seed, trials, r, q, k, n)
+
+    def counting(fld, stack, supports):
+        sizes.append(stack.shape[1])  # stack is (k, B, n)
+        return real_histograms(fld, stack, supports)
+
+    monkeypatch.setattr(search_mod, "_trial_draws", drawing)
+    monkeypatch.setattr(search_mod, "_histograms", counting)
+    most = max(1, min(search_mod._full_batch(7, 2), codes.BLOCK_ROWS // (2 * 1757)))
+    assert most == 18
+    estimate_expectation(7, 2, 1757, samples=3000, seed=3)
+    assert max(sizes) == most  # the ramp reaches the bound and stays at it
+    sizes.clear()
+    report = search(SearchConfig(q=7, k=2, n_lo=1757, n_hi=1757, target="qm", trials=3000, seed=1))
+    assert report["shortest_success"] == 1757
+    assert 0 < max(sizes) <= most
