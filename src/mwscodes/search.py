@@ -23,10 +23,11 @@ draws of trial_rng(seed, i) (_draws).  The scans do not create that RNG:
 _trial_draws computes the same draws for a whole batch of trials with
 integer array arithmetic, and only a trial it cannot compute exactly (a
 rejected word in numpy's bounded draw, or an index of 2^32 or more) goes
-through trial_rng.  One bound caps both a scan's batches and the first
-draws it takes ahead of them, so that its small first batches share one
-_trial_draws call and no array outgrows one enumeration block; the
-constants that call needs come once per seed, round and shape (_replay_plan).
+through trial_rng.  A scan takes its candidates in batches of one size,
+bounded so that no array outgrows one enumeration block: one _trial_draws
+call draws a batch, one histogram pass enumerates it, and its rank-deficient
+trials are redrawn together, one round at a time.  An early witness thus
+costs at most one batch of draws, enumeration and redraw rounds.
 
 Exhaustive mode enumerates systematic generators [I | A] only.  Every
 full-rank code is permutation-equivalent to a systematic one and coordinate
@@ -37,7 +38,6 @@ has rank k by construction, so these candidates need no rank test.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -177,7 +177,6 @@ def _add128(x, y):
     return x[0] + y[0] + (low < x[1]), low
 
 
-@functools.lru_cache(maxsize=64)
 def _replay_plan(seed: int, r: int, q: int, kn: int) -> tuple:
     """What _trial_draws needs for draw r of k n = kn entries, whatever the
     trials: the seed's entropy pool, the spawn word's hash constants, the
@@ -227,9 +226,9 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
     r k n .. (r + 1) k n - 1 only when no earlier word was rejected.  A
     trial with a rejected word, or an index of 2^32 or more (two spawn
     words), is left to the caller.  The constants that depend only on
-    (seed, r, q, k n) come from _replay_plan, once per scan and round.
-    The arrays hold (r + 1) k n / 2 outputs per trial, so the caller bounds
-    their size by the trials it passes.
+    (seed, r, q, k n) come from _replay_plan, once per call.  The arrays
+    hold (r + 1) k n / 2 outputs per trial, so the caller bounds their size
+    by the trials it passes: _candidates passes one batch.
     """
     kn = k * n
     pool, spawn, reject, first, m0, m1, (jump_m, jump_s), steps = _replay_plan(seed, r, q, kn)
@@ -308,19 +307,19 @@ def _full_batch(q: int, k: int) -> int:
 def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
                 supports: bool):
     """Yield (first index, generators (B, k, n), histograms, distinct support
-    counts) for candidates lo..hi-1 in batches of 1, 2, 4, ... candidates,
-    so that an early witness costs little, up to most = min(full batch,
-    BLOCK_ROWS // (k n)) candidates: at most BLOCK_ROWS projective words and
-    BLOCK_ROWS matrix entries, and at least one candidate.
+    counts) for candidates lo..hi-1 in batches of most = min(full batch,
+    BLOCK_ROWS // (k n)) consecutive candidates, at least one, and fewer
+    only in the last: a batch holds at most BLOCK_ROWS projective words and
+    BLOCK_ROWS matrix entries.  An early witness costs at most one batch of
+    draws, enumeration and redraw rounds.
 
     Candidate i is trial i's code in random mode and the i-th systematic
-    generator in exhaustive mode.  Random draws come from _trial_draws, and
-    from trial_rng for the trials it leaves out.  The first draws are taken
-    ahead of the ramp, up to most trials past the batch's first, so that the
-    small batches share one _trial_draws call and no call draws more than
-    most trials.  A rank-deficient draw (bin 0 not empty) is replaced by its
-    trial's next draw: the batch's deficient trials draw again together
-    until each has full rank."""
+    generator in exhaustive mode.  Random draws come from _trial_draws, one
+    call per batch and round, and from trial_rng for the trials it leaves
+    out.  A rank-deficient draw (bin 0 not empty) is replaced by its trial's
+    next draw: the batch's deficient trials draw again together until each
+    has full rank.  [I | A] has full rank, so exhaustive batches never
+    redraw."""
     fld = build_field(q)
 
     def draw(trials, r):
@@ -331,30 +330,23 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
         return gens
 
     most = max(1, min(_full_batch(q, k), codes.BLOCK_ROWS // (k * n)))
-    drawn_lo, drawn = lo, np.empty((0, k, n), dtype=np.int64)  # first draws of drawn_lo, ...
-    size = 1
-    while lo < hi:
-        top = min(lo + size, hi)
+    for first in range(lo, hi, most):
+        top = min(first + most, hi)
         if mode == "random":
-            end = drawn_lo + len(drawn)
-            if top > end:  # draw ahead, up to most trials past lo
-                fresh = draw(np.arange(end, min(lo + most, hi)), 0)
-                drawn, drawn_lo = np.concatenate([drawn[lo - drawn_lo:], fresh]), lo
-            gens = drawn[lo - drawn_lo:top - drawn_lo]
+            gens = draw(np.arange(first, top), 0)
         else:
-            gens = _systematic(q, k, n, lo, top)
+            gens = _systematic(q, k, n, first, top)
         hist, distinct = _histograms(fld, gens.transpose(1, 0, 2), supports)
-        redrawn = np.flatnonzero(hist[:, 0]) if mode == "random" else ()
+        redrawn = np.flatnonzero(hist[:, 0])
         r = 0
         while len(redrawn):  # one pass per round of redraws
             r += 1
-            gens[redrawn] = draw(lo + redrawn, r)
+            gens[redrawn] = draw(first + redrawn, r)
             hist[redrawn], found = _histograms(fld, gens[redrawn].transpose(1, 0, 2), supports)
             if supports:
                 distinct[redrawn] = found
             redrawn = redrawn[hist[redrawn, 0] > 0]
-        yield lo, gens, hist, distinct
-        lo, size = top, min(2 * size, most)
+        yield first, gens, hist, distinct
 
 
 def _scan_chunk(args) -> tuple[int, str, int] | None:
@@ -453,11 +445,14 @@ def _search_length(config: SearchConfig, n: int) -> dict:
     q, k = config.q, config.k
     exhaustive = config.mode == "exhaustive"
     if exhaustive:
-        space = q ** (k * (n - k))
-        if space > DEFAULT_SPACE_GUARD:
+        e = k * (n - k)
+        # q^e >= 2^e > the guard once e reaches its bit length: a long n is
+        # refused without computing q^e
+        if e >= DEFAULT_SPACE_GUARD.bit_length() or q**e > DEFAULT_SPACE_GUARD:
             raise SearchSpaceTooLargeError(
-                f"systematic space q^(k(n-k)) = {space} exceeds guard {DEFAULT_SPACE_GUARD}"
+                f"systematic space q^(k(n-k)) = {q}**{e} exceeds guard {DEFAULT_SPACE_GUARD}"
             )
+        space = q**e
     else:
         space = config.trials
     args = (q, k, n, config.mode, config.seed, config.target)

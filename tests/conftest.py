@@ -1,0 +1,20 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from mwscodes import codes
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Set codes.BLOCK_ROWS, which sets the enumeration blocks, the size of
+    a full search batch and so how small a space runs without a pool; the
+    per-code layout cache is cut to one block size, so it is cleared each
+    time."""
+
+    def set_rows(rows):
+        monkeypatch.setattr(codes, "BLOCK_ROWS", rows)
+        codes._layout.cache_clear()
+
+    yield set_rows
+    codes._layout.cache_clear()

@@ -1,0 +1,40 @@
+"""The scans against the benchmark's independent oracle.
+
+Every search, GV and Monte-Carlo op of the benchmark's `search` and
+`largefield` workloads runs through cli.main, and benchmarks/checker.py
+must find no problem with its exit status and payload: the checker
+recomputes existence, witness analyses and bounds with its own oracle, never
+from the program's output.  A small BLOCK_ROWS makes the scans cross many
+batch edges and the pooled ops split into many chunks.  The benchmark's
+modules are imported read-only; their ops write their files under tmp_path.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from mwscodes import cli, codes
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import checker  # noqa: E402
+import gen  # noqa: E402
+
+SCAN_KINDS = ("search", "gv", "montecarlo")
+
+
+@pytest.mark.parametrize("rows", [codes.BLOCK_ROWS, 256])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scan_ops_pass_the_benchmark_checker(seed, rows, block_rows, tmp_path):
+    block_rows(rows)
+    ops = [op for workload in ("search", "largefield")
+           for op in gen.make_ops(workload, seed, tmp_path / workload) if op.kind in SCAN_KINDS]
+    assert len(ops) == 29
+    for op in ops:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(op.argv)
+        assert checker.check(op, status, out.getvalue()) == [], op.argv

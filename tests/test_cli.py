@@ -214,6 +214,17 @@ def test_search_guard_exit_code(capsys):
     assert payload["error"] == "SearchSpaceTooLargeError"
 
 
+def test_search_with_a_huge_n_trips_the_space_guard_at_once(capsys):
+    # the guard must neither compute 3**199996 to refuse it nor format it
+    # into its message (past 4300 digits, int-to-str conversion refuses)
+    t0 = time.monotonic()
+    status, payload = run(capsys, "search", "--q", "3", "--k", "2", "--n", "100000",
+                          "--mode", "exhaustive")
+    assert status == 3
+    assert payload["error"] == "SearchSpaceTooLargeError"
+    assert time.monotonic() - t0 < 5
+
+
 def test_search_gv(capsys, monkeypatch):
     status, payload = run(capsys, "search", "--q", "2", "--k", "3", "--gv",
                           "--trials", "50", "--seed", "0")

@@ -31,18 +31,6 @@ PROFILES = ["plain", "small", "doubling20", "doubling64"]  # int64, int64, big i
 BLOCK_SIZES = [codes.BLOCK_ROWS, 10, 3]
 
 
-@pytest.fixture
-def block_rows(monkeypatch):
-    """Set codes.BLOCK_ROWS; the per-code layout cache is cleared each time."""
-
-    def set_rows(rows):
-        monkeypatch.setattr(codes, "BLOCK_ROWS", rows)
-        codes._layout.cache_clear()
-
-    yield set_rows
-    codes._layout.cache_clear()
-
-
 def make_code(q, profile):
     k = 3 if q < 100 else 2
     n = {"plain": 8, "small": 8, "doubling20": 20, "doubling64": 64}[profile]

@@ -203,20 +203,6 @@ class RecordingPool:
             self.pending.clear()
 
 
-@pytest.fixture
-def block_rows(monkeypatch):
-    """Set codes.BLOCK_ROWS, which sets the size of a full batch and so how
-    small a space runs without a pool; the per-code layout cache is cleared
-    each time."""
-
-    def set_rows(rows):
-        monkeypatch.setattr(codes, "BLOCK_ROWS", rows)
-        codes._layout.cache_clear()
-
-    yield set_rows
-    codes._layout.cache_clear()
-
-
 def test_search_cancels_chunks_after_the_witness(monkeypatch, block_rows):
     block_rows(4)  # a full batch of [n,2]_3 candidates is one candidate
     search_mod = importlib.import_module("mwscodes.search")

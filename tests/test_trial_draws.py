@@ -140,44 +140,65 @@ def test_random_mode_calls_trial_rng_only_for_flagged_trials(monkeypatch):
     gv_qm_search(4, 2, trials=50, seed=0)
 
 
+def batch_bound(q, k, n):
+    """_candidates' batch size, most, at the current BLOCK_ROWS."""
+    return max(1, min(search_mod._full_batch(q, k), codes.BLOCK_ROWS // (k * n)))
+
+
 # (q, k, n): q with rejection (3, 5, 7) and without (2, 4, 8); square and
 # near-square shapes whose rank-deficient draws take redraw rounds; output
 # counts J = 1 (k n <= 2 in round 0 and in every redraw over q = 2), J not a
 # power of two, and J = 1757 at n = 1757
-DRAW_AHEAD_SHAPES = [(2, 1, 1), (2, 3, 3), (3, 1, 2), (3, 2, 2), (4, 2, 3), (5, 2, 2),
+BATCH_EDGE_SHAPES = [(2, 1, 1), (2, 3, 3), (3, 1, 2), (3, 2, 2), (4, 2, 3), (5, 2, 2),
                      (7, 2, 5), (8, 3, 3), (7, 2, 1757), (4, 1, 1757)]
 
 
 @pytest.mark.parametrize("block_rows", [7, 40])
-@pytest.mark.parametrize("q,k,n", DRAW_AHEAD_SHAPES)
+@pytest.mark.parametrize("q,k,n", BATCH_EDGE_SHAPES)
 def test_scan_matches_reference_across_draw_ahead_edges(q, k, n, block_rows, monkeypatch):
-    # a small block puts the edges of the draw-ahead window both on ramp
-    # batches and inside them; the scan must still give trial_rng's codes
+    # each batch's first draws are taken ahead of its enumeration, and a
+    # small block puts many batch edges inside the range: every batch but
+    # the last holds exactly most candidates, and the scan must still give
+    # trial_rng's codes
     monkeypatch.setattr(codes, "BLOCK_ROWS", block_rows)
     lo, hi = (3, 43) if n < 100 else (1, 13)
+    most = batch_bound(q, k, n)
     batches = candidates(q, k, n, 11, lo, hi)
-    assert [first for first, _, _ in batches] == list(
-        itertools.accumulate([len(batch) for _, batch, _ in batches[:-1]], initial=lo))
+    assert [(first, len(batch)) for first, batch, _ in batches] == [
+        (first, min(most, hi - first)) for first in range(lo, hi, most)]
     gens = [g for _, batch, _ in batches for g in batch]
     assert gens == reference_candidates(q, k, n, 11, lo, hi)
+
+
+def record_calls(monkeypatch):
+    """Patch _trial_draws and _histograms to log ("draw", r, trials) and
+    ("hist", candidates) in call order."""
+    calls = []
+    real_draws, real_histograms = search_mod._trial_draws, search_mod._histograms
+
+    def drawing(seed, trials, r, q, k, n):
+        calls.append(("draw", r, len(trials)))
+        return real_draws(seed, trials, r, q, k, n)
+
+    def enumerating(fld, stack, supports):
+        calls.append(("hist", stack.shape[1]))  # stack is (k, B, n)
+        return real_histograms(fld, stack, supports)
+
+    monkeypatch.setattr(search_mod, "_trial_draws", drawing)
+    monkeypatch.setattr(search_mod, "_histograms", enumerating)
+    return calls
 
 
 @pytest.mark.parametrize("block_rows", [None, 40])
 @pytest.mark.parametrize("q,k,n,gv", [(2, 3, 3, False), (2, 3, 40, False), (2, 2, 9000, False),
                                       (2, 4, 0, True), (2, 6, 0, True)])
 def test_an_early_witness_draws_at_most_one_window(q, k, n, gv, block_rows, monkeypatch):
-    # binary codes are QM, so trial 0 is the witness: its search may draw no
-    # more first draws than one window ahead of the ramp's first batch
+    # binary codes are QM, so trial 0 is the witness: its search draws and
+    # enumerates one batch of most trials, then only redraw rounds of that
+    # batch's rank-deficient trials, each drawn and enumerated once
     if block_rows is not None:
         monkeypatch.setattr(codes, "BLOCK_ROWS", block_rows)
-    real, counted = search_mod._trial_draws, []
-
-    def counting(seed, trials, r, q, k, n):
-        if r == 0:
-            counted.append(len(trials))
-        return real(seed, trials, r, q, k, n)
-
-    monkeypatch.setattr(search_mod, "_trial_draws", counting)
+    calls = record_calls(monkeypatch)
     if gv:
         report = gv_qm_search(q, k, trials=10**6, seed=2)
         n, trial = report["n"], report["witness_trial"]
@@ -185,32 +206,53 @@ def test_an_early_witness_draws_at_most_one_window(q, k, n, gv, block_rows, monk
         report = search(SearchConfig(q=q, k=k, n_lo=n, n_hi=n, target="qm", trials=10**6, seed=2))
         trial = report["lengths"][0]["witness_trial"]
     assert trial == 0
-    window = max(1, min(search_mod._full_batch(q, k), codes.BLOCK_ROWS // (k * n)))
-    assert 0 < sum(counted) <= window
+    draws = calls[::2]
+    assert draws[0] == ("draw", 0, batch_bound(q, k, n))
+    assert [r for _, r, _ in draws] == list(range(len(draws)))
+    assert calls[1::2] == [("hist", size) for _, _, size in draws]
+
+
+@pytest.mark.parametrize("block_rows", [None, 40])
+def test_an_early_exhaustive_witness_enumerates_one_batch(block_rows, monkeypatch):
+    # index 0 of [13,3]_2 is QM; [I | A] has full rank, so nothing is drawn
+    # or redrawn
+    if block_rows is not None:
+        monkeypatch.setattr(codes, "BLOCK_ROWS", block_rows)
+    calls = record_calls(monkeypatch)
+    report = search(SearchConfig(q=2, k=3, n_lo=13, n_hi=13, target="qm", mode="exhaustive"))
+    assert report["lengths"][0]["witness_index"] == 0
+    assert calls == [("hist", batch_bound(2, 3, 13))]
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 3, 3), (2, 4, 4), (3, 2, 2)])
+def test_each_batch_draws_once_per_round(q, k, n, monkeypatch):
+    # square draws are often rank deficient, so batches take redraw rounds:
+    # a scan of at most most trials calls _trial_draws once for each round
+    # r = 0, 1, ..., R, and a longer scan does so once per batch, in order
+    monkeypatch.setattr(codes, "BLOCK_ROWS", 40)
+    most = batch_bound(q, k, n)
+    calls = record_calls(monkeypatch)
+    for hi in (1, most // 2, most, 5 * most + 3):
+        calls.clear()
+        estimate_expectation(q, k, n, samples=hi, seed=6)
+        rounds = [r for kind, r, *_ in calls if kind == "draw"]
+        starts = [i for i, r in enumerate(rounds) if r == 0]
+        assert len(starts) == len(range(0, hi, most))
+        for a, b in zip(starts, starts[1:] + [len(rounds)]):
+            assert rounds[a:b] == list(range(b - a))
+    assert max(rounds) > 0  # the redraw rounds ran
 
 
 def test_long_codes_draw_and_count_at_most_one_bound_per_call(monkeypatch):
     # at the GV length 1757 of (7, 2) one block of BLOCK_ROWS entries holds
     # 18 trials' 2 x 1757 matrices, against 8192 candidates in a full batch:
     # no kernel call may draw, and no histogram pass count, more than 18
-    sizes = []
-    real_draws, real_histograms = search_mod._trial_draws, search_mod._histograms
-
-    def drawing(seed, trials, r, q, k, n):
-        sizes.append(len(trials))
-        return real_draws(seed, trials, r, q, k, n)
-
-    def counting(fld, stack, supports):
-        sizes.append(stack.shape[1])  # stack is (k, B, n)
-        return real_histograms(fld, stack, supports)
-
-    monkeypatch.setattr(search_mod, "_trial_draws", drawing)
-    monkeypatch.setattr(search_mod, "_histograms", counting)
-    most = max(1, min(search_mod._full_batch(7, 2), codes.BLOCK_ROWS // (2 * 1757)))
+    calls = record_calls(monkeypatch)
+    most = batch_bound(7, 2, 1757)
     assert most == 18
     estimate_expectation(7, 2, 1757, samples=3000, seed=3)
-    assert max(sizes) == most  # the ramp reaches the bound and stays at it
-    sizes.clear()
+    assert max(call[-1] for call in calls) == most  # every full batch holds the bound
+    calls.clear()
     report = search(SearchConfig(q=7, k=2, n_lo=1757, n_hi=1757, target="qm", trials=3000, seed=1))
     assert report["shortest_success"] == 1757
-    assert 0 < max(sizes) <= most
+    assert 0 < max(call[-1] for call in calls) <= most
