@@ -10,27 +10,41 @@ astronomically large (e.g. m_i = 2^i).
 Weight spectra, the maximum-weight-spectrum (MWS) and quasi-minimal (QM)
 predicates, and the quadratic weight-collision criterion all live here.
 
-Enumeration.  Scalar multiples share weight and support, so only the
-(q^k - 1)/(q - 1) projective words are built, in lexicographic message order
-(first nonzero coordinate 1).  With rows g_0..g_{k-1}, the words whose
-message starts at coordinate i are g_i + span(g_{i+1..k-1}), and each span is
-the next one plus c g_j for every c in GF(q): words are built by adding rows,
-never by multiplying messages.  Addition is XOR on the elements for p = 2,
-mod p on the elements for prime q, and mod p on base-p digits otherwise.
-Words come in blocks of at most BLOCK_ROWS rows (codeword_matrix): a larger
-code reuses the span of its last rows for every prefix of the leading ones.
-A block holds rows x n entries (x m digits when added digit by digit), one
-byte each while two of them sum below 256, plus the mask, weights and
-support keys made from it.
+Two passes count a code's words by weight and, when asked, tell whether
+their supports are pairwise distinct.  Scalar multiples share weight and
+support, so both work on the (q^k - 1)/(q - 1) projective words, one per
+point of PG(k - 1, q), in lexicographic message order (first nonzero
+coordinate 1).  One dispatcher, _pass, picks a pass from the input's shape
+alone (_by_points); both give the same histograms and verdicts.
 
-The same functions take a stack of B generators, shape (k, B, n), as well
-as one (k, n) generator: the words then carry the candidate axis after the
-word axis.  One block loop (_tally) serves both, and one pass over the
-blocks gives each code's weight histogram, an offset bincount with n + 1
-bins per code, and with supports each code's number of distinct supports.
-A single code is a stack of one (_enumerate); searches stack their
-candidates B at a time (_histograms).  Only a code with multiplicities,
-whose weights can exceed n, counts its weights in a Counter instead.
+The point pass (_point_pass) builds no words.  It buckets the columns by
+the point each spans (_point_ids: a q^k table for a stack of many codes,
+else each column scaled to representative form on the log/exp tables),
+and the word with normal h has weight n - z - (the columns on the
+hyperplane h^perp), z the zero columns.  For k = 2 a hyperplane is one
+point; for k >= 3 the points on each hyperplane come from the zero pattern
+of the simplex code's words (_incidence).  QM is read off the same counts
+for k <= 3.  It serves plain codes over q > 2: every k = 2 code, and
+stacks of k >= 3 codes long enough for its gathers and geometry to cost
+less than their words.
+
+The block pass (_tally) serves everything else: binary codes, codes with
+multiplicities, short k >= 3 codes and QM for k >= 4.  With rows
+g_0..g_{k-1}, the words whose message starts at coordinate i are
+g_i + span(g_{i+1..k-1}), and each span is the next one plus c g_j for every
+c in GF(q): words are built by adding rows, never by multiplying messages.
+Addition is XOR on the elements for p = 2, mod p on the elements for prime
+q, and mod p on base-p digits otherwise.  Words come in blocks of at most
+BLOCK_ROWS rows (codeword_matrix): a larger code reuses the span of its last
+rows for every prefix of the leading ones.  A block holds rows x n entries
+(x m digits when added digit by digit), one byte each while two of them sum
+below 256, plus the mask, weights and support keys made from it.
+
+Both passes take a stack of B generators, shape (k, B, n): a single code is
+a stack of one (_enumerate), and searches stack their candidates B at a
+time (_histograms).  A plain code's weights are an offset bincount with
+n + 1 bins per code; only a code with multiplicities, whose weights can
+exceed n, counts its weights in a Counter instead.
 """
 
 from __future__ import annotations
@@ -380,18 +394,12 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
 
 
 def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
-    """One pass over the enumeration blocks of a stack of codes of shape
-    (k, B, n), each block (words, B, n) field elements: (weights, distinct).
-    blocks is a lazy iterator, so no block is built before the guard passes.
-
-    weights counts each code's words by weight, shape (B, n + 1).  Bin 0 is
-    empty exactly for a full-rank code; such a code is MWS when no bin
-    exceeds 1, and its minimum distance is its first nonzero bin.  For one
-    code with multiplicities, whose weights can exceed n, weights is instead
-    a Counter of its words' weights (_weights).  distinct is the number of
-    distinct supports of each code, or None without supports."""
+    """The block pass over a stack of codes of shape (k, B, n), each block
+    (words, B, n) field elements: (weights, qm), as _pass returns them.  For
+    one code with multiplicities, whose weights can exceed n, weights is
+    instead a Counter of its words' weights (_weights).  The supports are
+    compared as bit sets (_support_keys)."""
     k, count, n = shape
-    _check_guard(fld.q, k)
     if multiplicities:
         weights = Counter()
     else:
@@ -407,20 +415,170 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
             weights += flat.reshape(count, n + 1)
         if supports:
             keys.append(_support_keys(mask))
-    return weights, _distinct_rows(np.concatenate(keys)) if supports else None
+    if not supports:
+        return weights, None
+    distinct = _distinct_rows(np.concatenate(keys))
+    return weights, distinct == projective_representative_count(fld.q, k)
+
+
+# -- point pass ---------------------------------------------------------------
+
+def _base_q(fld: GF, columns: np.ndarray) -> np.ndarray:
+    """The base-q value of each column of columns (k, ...), row 0 most
+    significant."""
+    values = columns[0]
+    for row in columns[1:]:
+        values = values * fld.q + row
+    return values
+
+
+def _normalised_ids(fld: GF, columns: np.ndarray) -> np.ndarray:
+    """The point id of each column of columns (k, ...): the
+    projective_representatives index of the point it spans, P for a zero
+    column.  Each column is scaled by the inverse of its leading nonzero
+    entry, on the log/exp tables, which puts it in representative form:
+    with f entries after the leading 1, its base-q value v lies in
+    [q^f, 2 q^f) and its id is (q^f - 1)/(q - 1) + v - q^f."""
+    k, q = len(columns), fld.q
+    logs = fld.log[columns]  # -1 marks a zero entry
+    lead = logs[-1]
+    for row in logs[-2::-1]:
+        lead = np.where(row >= 0, row, lead)  # the leading entry's log
+    # log x - log lead + q - 1 lies in [0, 2q - 3], inside the doubled exp
+    values = _base_q(fld, np.where(logs >= 0, fld.exp[logs + (q - 1 - lead)], 0))
+    powers = [q**f for f in range(k)]
+    # v = 0, a zero column, finds f = -1 and the last offset, P
+    offsets = np.array([(p - 1) // (q - 1) - p for p in powers]
+                       + [projective_representative_count(q, k)])
+    return values + offsets[np.searchsorted(powers, values, side="right") - 1]
+
+
+@lru_cache(maxsize=4)
+def _point_table(fld: GF, k: int) -> np.ndarray:
+    """The point id of every vector of GF(q)^k, indexed by its base-q
+    value."""
+    q = fld.q
+    return _normalised_ids(fld, np.arange(q**k) // q ** np.arange(k - 1, -1, -1)[:, None] % q)
+
+
+def _point_ids(fld: GF, stack: np.ndarray) -> np.ndarray:
+    """The point id of each column of the codes stacked in stack (k, B, n),
+    shape (B, n), as _normalised_ids gives them: read off the q^k table
+    when a stack of several codes has at least as many columns as the
+    table has entries, which a search reuses for every batch, else
+    normalised column by column."""
+    k, count, n = stack.shape
+    if count == 1 or fld.q**k > count * n:
+        return _normalised_ids(fld, stack)
+    return _point_table(fld, k)[_base_q(fld, stack)]
+
+
+@lru_cache(maxsize=4)
+def _incidence(fld: GF, k: int) -> np.ndarray:
+    """The points on each hyperplane of PG(k - 1, q), shape (P, |H|) with
+    |H| = (q^(k-1) - 1)/(q - 1): row h lists the points p with <h, p> = 0,
+    the zero pattern of the simplex code's word h.  The pattern is
+    symmetric in h and p, so row w also lists the hyperplanes through
+    point w."""
+    reps = np.array(projective_representatives(fld, k)).T
+    words = _words(fld, reps)[0]
+    zero = ~words.any(axis=-1) if _digit_form(fld) else words == 0
+    return np.nonzero(zero)[1].reshape(len(zero), -1)
+
+
+def _by_points(q: int, k: int, count: int, n: int, supports: bool) -> bool:
+    """Whether _pass takes the point pass for a stack of count plain
+    [n, k]_q codes, by the measured costs in CHANGES.md.  Never for q = 2,
+    whose block pass is as fast.  Always for k = 2, which needs no geometry.
+    For k >= 3 the pass gathers P |H| counts per code, |H| the
+    (q^(k-1) - 1)/(q - 1) points on a hyperplane, where enumeration builds
+    P n word entries, but first builds the P^2 incidence and a point
+    table, which a single code never repays.  So it takes stacks with
+    2 |H| <= n, 32 P <= B n and B P n >= 2^15, and supports only for k = 3,
+    where each codim-2 W is one point."""
+    if q == 2 or k < 2 or (supports and k > 3):
+        return False
+    points = projective_representative_count(q, k)
+    return k == 2 or (count > 1 and 2 * projective_representative_count(q, k - 1) <= n
+                      and 32 * points <= count * n and count * points * n >= 2**15)
+
+
+def _point_pass(fld: GF, stack: np.ndarray, supports: bool):
+    """The point pass over the plain codes stacked in stack (k, B, n):
+    (weights, qm), as _pass returns them.
+
+    Proportional columns give proportional entries in every word, and zero
+    columns zero entries, so with c_p the number of columns proportional to
+    point p and z the zero columns, the word with normal h has weight
+    n - z - sum of c_p over the points on the hyperplane h^perp (Dodunekov
+    & Simonis, Codes and projective multisets, 1998).  For k = 2 each
+    hyperplane is one point, so the weights are n - z - c_p.
+
+    Two words share a support iff S meets both hyperplanes only inside
+    their intersection W, where S is the set of points with c_p > 0: QM
+    fails iff some codim-2 W lies in two hyperplanes H with
+    sigma(H) = |S & H| equal to |S & W|.  For k = 2, W is empty and this
+    says that two points are missing from S.  For k = 3, W is a point w
+    and any two lines meet in one point, so it says that two lines miss S,
+    or that two lines meet S in the same single point.  One gather of
+    seen_p (M + p) over each line, M above any sum of ids on a line, gives
+    sigma(H) M plus the sum of the ids in S & H, which is the id of that
+    single point when sigma(H) = 1.
+    """
+    k, count, n = stack.shape
+    points = projective_representative_count(fld.q, k)
+    ids = _point_ids(fld, stack) + (points + 1) * np.arange(count)[:, None]
+    counts = np.bincount(ids.ravel(), minlength=count * (points + 1)).reshape(count, -1)
+    counts, zero = counts[:, :points], counts[:, points:]
+    if k == 2:
+        inside = counts
+    else:
+        lines = _incidence(fld, k)
+        inside = counts[:, lines].sum(axis=2)
+    weights = n - zero - inside + (n + 1) * np.arange(count)[:, None]
+    weights = np.bincount(weights.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
+    if not supports:
+        return weights, None
+    seen = counts > 0
+    if k == 2:
+        return weights, (~seen).sum(axis=1) <= 1
+    scale = points * lines.shape[1]
+    sigma, single = np.divmod((seen * (scale + np.arange(points)))[:, lines].sum(axis=2), scale)
+    code, line = np.nonzero(sigma == 1)  # lines meeting S in one point
+    tangents = np.bincount(code * points + single[code, line], minlength=count * points)
+    clash = ((sigma == 0).sum(axis=1) >= 2) | (tangents.reshape(count, points) >= 2).any(axis=1)
+    return weights, ~clash
+
+
+def _pass(fld: GF, stack: np.ndarray, supports: bool, blocks, multiplicities=None):
+    """The one weight pass over the codes stacked in stack (k, B, n), a
+    stack of one for a single code: (weights, qm).  blocks lazily yields
+    the stack's enumeration blocks, (words, B, n) field elements, so none
+    is built before the guard passes or when the point pass runs; plain
+    codes of the shapes _by_points picks take the point pass instead.
+
+    weights counts each code's words by weight, shape (B, n + 1).  Bin 0 is
+    empty exactly for a full-rank code; such a code is MWS when no bin
+    exceeds 1, and its minimum distance is its first nonzero bin.  qm tells
+    for each code whether its projective words have pairwise distinct
+    supports, or is None without supports."""
+    k, count, n = stack.shape
+    _check_guard(fld.q, k)
+    if multiplicities is None and _by_points(fld.q, k, count, n, supports):
+        return _point_pass(fld, stack, supports)
+    return _tally(fld, stack.shape, blocks, supports, multiplicities)
 
 
 def _enumerate(code: LinearCode, supports: bool):
-    """One pass over the code's projective words, a stack of one whose blocks
-    come from codeword_matrix: (its _tally weights, whether the supports are
-    pairwise distinct, or None without supports)."""
+    """The code's _pass, as a stack of one whose blocks come from
+    codeword_matrix: (its weights, whether its supports are pairwise
+    distinct, or None without supports)."""
     q, k = code.q, code.k
     blocks = (codeword_matrix(code, block)[:, None] for block in range(_block_count(q, k)))
-    weights, distinct = _tally(code.field, (k, 1, code.n), blocks, supports,
-                               None if code.is_plain else code.multiplicities)
-    if distinct is not None:
-        distinct = int(distinct[0]) == projective_representative_count(q, k)
-    return weights, distinct
+    stack = np.array(code.generator, dtype=np.int64)[:, None]
+    weights, qm = _pass(code.field, stack, supports, blocks,
+                        None if code.is_plain else code.multiplicities)
+    return weights, None if qm is None else bool(qm[0])
 
 
 def _spectrum(code: LinearCode, weights) -> WeightSpectrum:
@@ -431,22 +589,22 @@ def _spectrum(code: LinearCode, weights) -> WeightSpectrum:
 
 
 def _histograms(fld: GF, stack: np.ndarray, supports: bool):
-    """_tally over the plain codes stacked in stack (k, B, n)."""
+    """The _pass over the plain codes stacked in stack (k, B, n)."""
     def blocks():
         layout = _stack_layout(fld, stack)
         for block in range(_block_count(fld.q, len(stack))):
             yield _block(fld, layout, block)
 
-    return _tally(fld, stack.shape, blocks(), supports)
+    return _pass(fld, stack, supports, blocks())
 
 
 def weight_spectrum(code: LinearCode) -> WeightSpectrum:
     """Exact spectrum over all q^k - 1 nonzero codewords.
 
     Scalar multiples of a word share weight and support, so only one
-    representative per 1-dimensional subspace is enumerated and each count
+    representative per 1-dimensional subspace is counted and each count
     scales by q - 1.  A plain code's words are counted in an (n + 1)-bin
-    histogram (_tally); only a code with multiplicities collects its
+    histogram (_pass); only a code with multiplicities collects its
     weights one by one.
     """
     return _spectrum(code, _enumerate(code, supports=False)[0])
@@ -474,10 +632,11 @@ def is_mws_lemma(code: LinearCode) -> bool:
 def is_qm(code: LinearCode) -> bool:
     """True iff linearly independent codewords always have distinct supports.
 
-    Supports of all projective representatives are collected and counted;
-    multiplicities do not matter since they never change a support.  Over
-    GF(2) distinct nonzero words have distinct supports, so every binary
-    code is QM and nothing is enumerated.
+    Multiplicities do not matter since they never change a support.  The
+    point pass reads the verdict off the column point counts for k <= 3,
+    and the block pass compares the supports of all projective words (see
+    _pass).  Over GF(2) distinct nonzero words have distinct supports, so
+    every binary code is QM and nothing is counted.
     """
     return code.q == 2 or _enumerate(code, supports=True)[1]
 
@@ -502,8 +661,8 @@ def qm_sufficient_dD(code: LinearCode) -> bool:
 
 def spectrum_report(code: LinearCode) -> dict:
     """JSON-ready summary: lengths, spectrum, and both predicates, from one
-    pass over the projective words that counts the weights and, unless the
-    code is binary and so always QM (see is_qm), compares the supports."""
+    pass (_pass) that counts the weights and, unless the code is binary and
+    so always QM (see is_qm), decides QM."""
     weights, qm = _enumerate(code, supports=code.q > 2)
     spec = _spectrum(code, weights)
     return {

@@ -11,9 +11,10 @@ that much work to pay for the pool's start; a smaller space runs in this
 process whatever the worker count.
 
 A scan stacks its candidates in batches (_candidates) and reads each
-verdict off the candidate's weight histogram, or its supports for QM over
-q > 2.  A witness is written out as matrix text, and only that text becomes
-a LinearCode, re-verified through the public predicates.
+verdict off one weight pass over the batch (codes._pass): the candidate's
+weight histogram, and for QM over q > 2 the pass's QM verdict.  A witness
+is written out as matrix text, and only that text becomes a LinearCode,
+re-verified through the public predicates.
 
 Determinism contract: every trial derives its RNG purely from (seed, trial
 index), and witness selection always picks the smallest successful index.
@@ -25,9 +26,9 @@ integer array arithmetic, and only a trial it cannot compute exactly (a
 rejected word in numpy's bounded draw, or an index of 2^32 or more) goes
 through trial_rng.  A scan takes its candidates in batches of one size,
 bounded so that no array outgrows one enumeration block: one _trial_draws
-call draws a batch, one histogram pass enumerates it, and its rank-deficient
+call draws a batch, one weight pass counts it, and its rank-deficient
 trials are redrawn together, one round at a time.  An early witness thus
-costs at most one batch of draws, enumeration and redraw rounds.
+costs at most one batch of draws, weight passes and redraw rounds.
 
 Exhaustive mode enumerates systematic generators [I | A] only.  Every
 full-rank code is permutation-equivalent to a systematic one and coordinate
@@ -306,12 +307,12 @@ def _full_batch(q: int, k: int) -> int:
 
 def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
                 supports: bool):
-    """Yield (first index, generators (B, k, n), histograms, distinct support
-    counts) for candidates lo..hi-1 in batches of most = min(full batch,
-    BLOCK_ROWS // (k n)) consecutive candidates, at least one, and fewer
-    only in the last: a batch holds at most BLOCK_ROWS projective words and
-    BLOCK_ROWS matrix entries.  An early witness costs at most one batch of
-    draws, enumeration and redraw rounds.
+    """Yield (first index, generators (B, k, n), histograms, QM verdicts or
+    None without supports) for candidates lo..hi-1 in batches of
+    most = min(full batch, BLOCK_ROWS // (k n)) consecutive candidates, at
+    least one, and fewer only in the last: a batch holds at most BLOCK_ROWS
+    projective words and BLOCK_ROWS matrix entries.  An early witness costs
+    at most one batch of draws, weight passes and redraw rounds.
 
     Candidate i is trial i's code in random mode and the i-th systematic
     generator in exhaustive mode.  Random draws come from _trial_draws, one
@@ -336,7 +337,7 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
             gens = draw(np.arange(first, top), 0)
         else:
             gens = _systematic(q, k, n, first, top)
-        hist, distinct = _histograms(fld, gens.transpose(1, 0, 2), supports)
+        hist, qm = _histograms(fld, gens.transpose(1, 0, 2), supports)
         redrawn = np.flatnonzero(hist[:, 0])
         r = 0
         while len(redrawn):  # one pass per round of redraws
@@ -344,25 +345,24 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
             gens[redrawn] = draw(first + redrawn, r)
             hist[redrawn], found = _histograms(fld, gens[redrawn].transpose(1, 0, 2), supports)
             if supports:
-                distinct[redrawn] = found
+                qm[redrawn] = found
             redrawn = redrawn[hist[redrawn, 0] > 0]
-        yield first, gens, hist, distinct
+        yield first, gens, hist, qm
 
 
 def _scan_chunk(args) -> tuple[int, str, int] | None:
     """Scan candidates lo..hi-1 and return (index, matrix text, minimum
     distance) for the first accepted one, or None.  The verdicts are read off
-    each batch's histograms: MWS when no bin holds two words, QM when the
-    supports are distinct (always over GF(2)); the minimum distance is the
+    each batch's histograms: MWS when no bin holds two words, QM from the
+    pass's QM verdicts (always over GF(2)); the minimum distance is the
     first nonzero bin after bin 0."""
     q, k, n, mode, seed, target, lo, hi = args
     supports = target == "qm" and q > 2
-    ceiling = projective_representative_count(q, k)
-    for first, gens, hist, distinct in _candidates(q, k, n, mode, seed, lo, hi, supports):
+    for first, gens, hist, qm in _candidates(q, k, n, mode, seed, lo, hi, supports):
         if target == "mws":
             ok = (hist <= 1).all(axis=1)
         else:
-            ok = distinct == ceiling if supports else np.full(len(hist), True)
+            ok = qm if supports else np.full(len(hist), True)
         hits = np.flatnonzero(ok)
         if len(hits):
             j = int(hits[0])
@@ -375,10 +375,11 @@ def _run_chunks(worker, args, total: int, workers: int, stop=None) -> list:
     """Run worker((*args, lo, hi)) over range(total), where args begin with
     q, k.  A chunk holds max(_full_batch(q, k), ceil(total / workers / 4))
     indices, for about 4 chunks per worker, but never fewer than BLOCK_ROWS
-    projective words, whose enumeration costs at least as much as starting a pool.  With one worker,
-    or when that leaves one chunk, the range runs in this process as one task
-    and no pool starts; else the chunks run in a pool of at most one process
-    per chunk, which is shut down before this returns.
+    projective words, whose draws and weight pass take about as long as
+    starting a pool (figures in README.md).  With one worker, or when that
+    leaves one chunk, the range runs in this process as one task and no
+    pool starts; else the chunks run in a pool of at most one process per
+    chunk, which is shut down before this returns.
 
     Results come in chunk order, up to and including the first one for which
     stop holds; the chunks after it are cancelled.  Because pool.map yields

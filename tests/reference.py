@@ -10,6 +10,7 @@ exact big-integer scan the library used before its interval scan.
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
 from mwscodes import bounds, codeword, support, weighted_weight
 
@@ -35,6 +36,24 @@ def representatives(q: int, k: int):
 
 def words(code) -> list[tuple[int, ...]]:
     return [codeword(code, m) for m in representatives(code.q, code.k)]
+
+
+def generator_words(fld, generator) -> list[tuple[int, ...]]:
+    """The projective words of any k x n generator, rank deficient or not:
+    words() needs only these attributes, and a LinearCode would refuse a
+    rank-deficient generator."""
+    rows = tuple(map(tuple, generator))
+    return words(SimpleNamespace(field=fld, q=fld.q, k=len(rows), n=len(rows[0]), generator=rows))
+
+
+def histogram(fld, generator) -> list[int]:
+    """The number of projective words of each weight 0..n."""
+    counts = Counter(sum(map(bool, w)) for w in generator_words(fld, generator))
+    return [counts[w] for w in range(len(generator[0]) + 1)]
+
+
+def distinct_supports(fld, generator) -> int:
+    return len({support(w) for w in generator_words(fld, generator)})
 
 
 def spectrum(code) -> dict[int, int]:

@@ -1,12 +1,15 @@
-"""The scans against the benchmark's independent oracle.
+"""The scans and the point pass against the benchmark's independent oracle.
 
 Every search, GV and Monte-Carlo op of the benchmark's `search` and
 `largefield` workloads runs through cli.main, and benchmarks/checker.py
 must find no problem with its exit status and payload: the checker
 recomputes existence, witness analyses and bounds with its own oracle, never
 from the program's output.  A small BLOCK_ROWS makes the scans cross many
-batch edges and the pooled ops split into many chunks.  The benchmark's
-modules are imported read-only; their ops write their files under tmp_path.
+batch edges and the pooled ops split into many chunks.  The `verify` and
+`construct` ops of the `largefield` workload, [n, 2] codes over fields of
+128 to 2187 elements, take the point pass, and the checker compares their
+whole payloads.  The benchmark's modules are imported read-only; their ops
+write their files under tmp_path.
 """
 
 import contextlib
@@ -33,6 +36,18 @@ def test_scan_ops_pass_the_benchmark_checker(seed, rows, block_rows, tmp_path):
     ops = [op for workload in ("search", "largefield")
            for op in gen.make_ops(workload, seed, tmp_path / workload) if op.kind in SCAN_KINDS]
     assert len(ops) == 29
+    for op in ops:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(op.argv)
+        assert checker.check(op, status, out.getvalue()) == [], op.argv
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_largefield_analyses_pass_the_benchmark_checker(seed, tmp_path):
+    ops = [op for op in gen.make_ops("largefield", seed, tmp_path) if op.kind not in SCAN_KINDS]
+    assert len(ops) == 17 and {op.argv[0] for op in ops} == {"verify", "construct"}
+    assert all(op.shape[0] > 2 and op.shape[1] == 2 for op in ops)  # all take the point pass
     for op in ops:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

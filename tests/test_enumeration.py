@@ -1,8 +1,9 @@
-"""The block enumerator against the slow reference oracle in reference.py.
+"""The weight passes against the slow reference oracle in reference.py.
 
 Every analysis is checked with the default block size and with block sizes
 small enough to cut each code into several blocks, for plain, int64 and
-arbitrary-precision multiplicity profiles.
+arbitrary-precision multiplicity profiles.  Plain [n, 2] codes over q > 2
+take the point pass, the rest the block pass.
 """
 
 import numpy as np
@@ -133,6 +134,20 @@ def count_blocks(monkeypatch):
     return calls
 
 
+def count_passes(monkeypatch):
+    """Count weight passes, point or block, made through their one
+    dispatcher codes._pass: the (k, B, n) shape of each."""
+    calls = []
+    real = codes._pass
+
+    def counted(fld, stack, *args):
+        calls.append(stack.shape)
+        return real(fld, stack, *args)
+
+    monkeypatch.setattr(codes, "_pass", counted)
+    return calls
+
+
 def test_spectrum_report_enumerates_once(monkeypatch):
     calls = count_blocks(monkeypatch)
     spectrum_report(make_code(3, "plain"))
@@ -150,7 +165,7 @@ def test_weights_never_compute_supports(monkeypatch):
 
 
 def test_pipeline_and_construct_reuse_their_verdicts(monkeypatch, capsys):
-    calls = count_blocks(monkeypatch)
+    calls = count_passes(monkeypatch)
     mws_pipeline(2, 4, "identity")
     assert len(calls) == 2  # the base's report and the embedded spectrum
     for argv, passes in [(["simplex", "--q", "3", "--k", "2"], 1),
@@ -171,8 +186,8 @@ def test_binary_codes_are_qm_without_supports(profile, monkeypatch):
     spec = reference.spectrum(code)
     assert reference.is_qm(code)
     monkeypatch.setattr(codes, "_support_keys", no_supports)
-    calls = count_blocks(monkeypatch)
-    assert is_qm(code) is True and calls == []  # no enumeration at all
+    calls = count_passes(monkeypatch)
+    assert is_qm(code) is True and calls == []  # no pass at all
     report = spectrum_report(code)
     assert report["is_qm"] is True and len(calls) == 1
     assert {int(w): a for w, a in report["counts"].items()} == spec

@@ -11,10 +11,11 @@ must accept the same candidates by the same path.
 """
 
 import importlib
-from types import SimpleNamespace
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from mwscodes import (
@@ -24,9 +25,9 @@ from mwscodes import (
     dumps_code,
     estimate_expectation,
     gv_qm_search,
+    projective_representatives,
     random_code,
     search,
-    support,
     trial_rng,
 )
 from mwscodes import codes
@@ -137,11 +138,20 @@ def test_square_binary_draws_are_replayed():
     assert sum(gf_rank(build_field(2), m.tolist()) < 3 for m in first) > 20
 
 
+def block_pass(fld, stack, supports):
+    """The block pass over stack (k, B, n), whatever _pass would pick."""
+    layout = codes._stack_layout(fld, stack)
+    blocks = [codes._block(fld, layout, b) for b in range(codes._block_count(fld.q, len(stack)))]
+    return codes._tally(fld, stack.shape, iter(blocks), supports), blocks
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_histograms_match_reference_per_candidate(q, monkeypatch):
     # a stack mixing QM and non-QM codes whose supports differ only beyond
-    # column 64 (two key columns), and a rank-deficient one (bin 0)
+    # column 64 (two key columns), and a rank-deficient one (bin 0); six
+    # codes this short take the block pass, which compares support keys
     k, n = 3, 70
+    points = (q**k - 1) // (q - 1)
     rng = np.random.default_rng(q)
     stack = np.zeros((6, k, n), dtype=np.int64)
     stack[:, :, 64:67] = np.eye(k, dtype=np.int64)
@@ -149,19 +159,123 @@ def test_histograms_match_reference_per_candidate(q, monkeypatch):
     stack[4, :, :40] = rng.integers(0, q, size=(k, 40))
     stack[5, 2] = stack[5, 0]
     fld = build_field(q)
+    assert not codes._by_points(q, k, 6, n, supports=True)
+    expected = [(reference.histogram(fld, gen.tolist()),
+                 reference.distinct_supports(fld, gen.tolist())) for gen in stack]
     for rows in BLOCK_SIZES:
         monkeypatch.setattr(codes, "BLOCK_ROWS", rows)
-        hist, distinct = codes._histograms(fld, stack.transpose(1, 0, 2), supports=True)
-        for gen, h, d in zip(stack, hist, distinct):
-            # reference.words needs only these attributes, and a LinearCode
-            # would refuse the rank-deficient generator
-            code = SimpleNamespace(field=fld, q=q, k=k, n=n, generator=tuple(map(tuple, gen.tolist())))
-            words = reference.words(code)
-            weights = [sum(map(bool, w)) for w in words]
-            assert h.tolist() == np.bincount(weights, minlength=n + 1).tolist()
-            assert d == len({support(w) for w in words})
+        hist, qm = codes._histograms(fld, stack.transpose(1, 0, 2), supports=True)
+        assert [h.tolist() for h in hist] == [h for h, _ in expected]
+        assert qm.tolist() == [d == points for _, d in expected]
+        _, blocks = block_pass(fld, stack.transpose(1, 0, 2), supports=True)
+        keys = np.concatenate([codes._support_keys(words != 0) for words in blocks])
+        assert codes._distinct_rows(keys).tolist() == [d for _, d in expected]
+    # the point pass, whose QM test reads no supports, agrees
+    hist_points, qm_points = codes._point_pass(fld, stack.transpose(1, 0, 2), supports=True)
+    assert hist_points.tolist() == hist.tolist() and qm_points.tolist() == qm.tolist()
     assert hist[5, 0] > 0 and (hist[:5, 0] == 0).all()
-    assert (distinct[:4] == (q**k - 1) // (q - 1)).all() == (q == 2)
+    assert qm[:4].all() == (q == 2)
+
+
+# -- point pass against block pass and reference -------------------------------
+
+POINT_FIELDS = [3, 4, 5, 7, 8, 9, 16, 27]  # prime, 2^m and p^m
+
+
+@st.composite
+def stacks(draw):
+    """(q, k, generators (B, k, n)) with zero columns, columns repeated up to
+    a scalar and rank-deficient generators (a row repeated or zero).  k = 4
+    comes only with q <= 4, for MWS histograms without supports."""
+    q = draw(st.sampled_from(POINT_FIELDS))
+    k = draw(st.sampled_from([2, 3, 4] if q <= 4 else [2, 3]))
+    n = draw(st.integers(k, {2: min(q * (q + 1) // 2 + 2, 40), 3: 30 if q <= 4 else 14, 4: 10}[k]))
+    count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fld = build_field(q)
+    gens = rng.integers(0, q, size=(count, k, n))
+    for gen in gens:
+        damage = rng.integers(4)  # none, zero columns, repeated columns, rank deficiency
+        if damage == 1:
+            gen[:, rng.random(n) < 0.3] = 0
+        elif damage == 2:
+            for _ in range(rng.integers(1, n + 1)):
+                gen[:, rng.integers(n)] = fld.mul_array(gen[:, rng.integers(n)], rng.integers(1, q))
+        elif damage == 3:
+            gen[rng.integers(k)] = gen[rng.integers(k)] if rng.random() < 0.5 else 0
+    return q, k, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks())
+def test_point_pass_matches_block_pass_and_reference(case):
+    q, k, gens = case
+    fld = build_field(q)
+    stack = gens.transpose(1, 0, 2)
+    supports = k <= 3
+    points = (q**k - 1) // (q - 1)
+    hist, qm = codes._point_pass(fld, stack, supports)
+    (block_hist, block_qm), _ = block_pass(fld, stack, supports)
+    expected = [reference.histogram(fld, g.tolist()) for g in gens]
+    assert hist.tolist() == block_hist.tolist() == expected
+    if supports:
+        expected = [reference.distinct_supports(fld, g.tolist()) == points for g in gens]
+        assert qm.tolist() == block_qm.tolist() == expected
+    else:
+        assert qm is block_qm is None
+    # the table and the normalised ids agree on the same columns
+    assert (codes._point_table(fld, k)[codes._base_q(fld, stack)]
+            == codes._normalised_ids(fld, stack)).all()
+
+
+@pytest.mark.parametrize("q", [2, *POINT_FIELDS])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_point_ids_index_the_representatives(q, k):
+    # every nonzero multiple of representative i has id i, and 0 has id P,
+    # by the table (a stack of two codes, 2 q^k columns) and by normalising
+    # (one code)
+    fld = build_field(q)
+    reps = np.array(projective_representatives(fld, k))
+    multiples = fld.mul_array(np.arange(1, q)[:, None, None], reps).reshape(-1, k)
+    columns = np.concatenate([multiples, np.zeros((1, k), dtype=np.int64)]).T
+    expected = np.append(np.tile(np.arange(len(reps)), q - 1), len(reps)).tolist()
+    assert codes._point_ids(fld, columns[:, None]).tolist() == [expected]
+    assert codes._point_ids(fld, np.stack([columns, columns], axis=1)).tolist() == [expected] * 2
+
+
+def test_point_pass_qm_on_point_sets():
+    # the 6 points 0, 1, 2, 4, 5, 7 of PG(2, 3) form a QM [6, 3]_3 code and
+    # none of their 5-point subsets does; all 13 points (the simplex code)
+    # are QM, and the points of one line are not
+    fld = build_field(3)
+    reps = np.array(projective_representatives(fld, 3))
+    sets = [[0, 1, 2, 4, 5, 7], *itertools.combinations([0, 1, 2, 4, 5, 7], 5), list(range(13)),
+            [0, 1, 2, 3]]
+    for chosen in sets:
+        gen = reps[list(chosen)].T[None]
+        _, qm = codes._point_pass(fld, gen.transpose(1, 0, 2), supports=True)
+        assert bool(qm[0]) == (reference.distinct_supports(fld, gen[0].tolist()) == 13)
+        assert bool(qm[0]) == (len(chosen) in (6, 13))
+
+
+@pytest.mark.parametrize("q,k,count,n,supports,expected", [
+    (3, 2, 1, 4, True, True),  # k = 2 over q > 2, single codes included
+    (2187, 2, 1, 3, True, True),
+    (2, 2, 1000, 21, False, False),  # binary: blocks
+    (2, 5, 436, 30, False, False),
+    (3, 3, 280, 19, False, True),  # a search batch above 2 |H|
+    (3, 3, 50, 56, True, True),
+    (3, 3, 1, 2600, True, False),  # one code: the incidence costs more
+    (3, 3, 64, 26, True, False),  # B P n < 2^15
+    (3, 3, 280, 7, False, False),  # n < 2 |H|
+    (3, 4, 16, 60, False, False),  # 32 P > B n
+    (3, 4, 273, 60, False, True),
+    (3, 4, 273, 60, True, False),  # supports past k = 3
+    (3, 9, 1, 20, True, False),  # the verify workload's codes: |H| > n
+    (4, 6, 1, 1365, True, False),
+])
+def test_dispatch_rule(q, k, count, n, supports, expected):
+    assert codes._by_points(q, k, count, n, supports) is expected
 
 
 # -- work done ----------------------------------------------------------------
