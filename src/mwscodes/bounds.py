@@ -96,11 +96,16 @@ def exact_mws_length(q: int, k: int) -> int | None:
 
 
 def binom_sq_sum(n: int, q: int) -> int:
-    """sum_{w=0}^{n} C(n,w)^2 (q-1)^{2w}, exactly."""
+    """sum_{w=0}^{n} C(n,w)^2 (q-1)^{2w}, exactly.  Each term t_w^2 comes
+    from the last one's t_w = C(n,w) (q-1)^w by the exact step
+    t_{w+1} = t_w (n - w) (q - 1) / (w + 1), not from a fresh C(n,w)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    s = (q - 1) ** 2
-    return sum(math.comb(n, w) ** 2 * s**w for w in range(n + 1))
+    total, term = 0, 1
+    for w in range(n + 1):
+        total += term * term
+        term = term * (n - w) // (w + 1) * (q - 1)
+    return total
 
 
 def max_term(n: int, q: int) -> tuple[int, int]:

@@ -2,10 +2,9 @@
 
 A LinearCode stores a k x n generator matrix plus a multiplicity profile
 (m_0, ..., m_{n-1}).  Column i of the base code stands for m_i identical
-columns of an effective code of length N = sum(m_i).  Codewords of the
-effective code are never materialized: the weight of a word is computed as
-the sum of m_i over its support, which stays linear in n even when N is
-astronomically large (e.g. m_i = 2^i).
+columns of an effective code of length N = sum(m_i), which is never
+materialized: a word's weight is the sum of m_i over its support, exact
+for any N (e.g. m_i = 2^i) from int64 limbs of the m_i (_weights).
 
 Weight spectra, the maximum-weight-spectrum (MWS) and quasi-minimal (QM)
 predicates, and the quadratic weight-collision criterion all live here.
@@ -44,7 +43,7 @@ Both passes take a stack of B generators, shape (k, B, n): a single code is
 a stack of one (_enumerate), and searches stack their candidates B at a
 time (_histograms).  A plain code's weights are an offset bincount with
 n + 1 bins per code; only a code with multiplicities, whose weights can
-exceed n, counts its weights in a Counter instead.
+exceed n, counts its weights (_weights) in a Counter instead.
 """
 
 from __future__ import annotations
@@ -124,10 +123,8 @@ class LinearCode:
             raise ValueError("generator rows have unequal lengths")
         if n == 0:
             raise ValueError("generator needs at least one column")
-        q = self.field.q
-        for row in self.generator:
-            if any(not (0 <= x < q) for x in row):
-                raise ValueError("generator entry outside [0, q)")
+        if min(map(min, self.generator)) < 0 or max(map(max, self.generator)) >= self.field.q:
+            raise ValueError("generator entry outside [0, q)")
         if not self.multiplicities:
             object.__setattr__(self, "multiplicities", (1,) * n)
         if len(self.multiplicities) != n:
@@ -159,7 +156,7 @@ class LinearCode:
         return self.effective_length == self.n  # every m_i >= 1
 
     def has_zero_column(self) -> bool:
-        return any(all(row[j] == 0 for row in self.generator) for j in range(self.n))
+        return not all(map(any, zip(*self.generator)))
 
     def __repr__(self) -> str:
         return (
@@ -358,11 +355,15 @@ def _check_guard(q: int, k: int):
 
 
 def _weights(multiplicities, mask: np.ndarray) -> list[int]:
-    """Weight of each word, the sum of m_i over its support, from its nonzero
-    mask: an int64 product while N < 2^62, Python integers beyond."""
-    if sum(multiplicities) < 2**62:
-        return (mask @ np.array(multiplicities, dtype=np.int64)).tolist()
-    return [sum(m for m, s in zip(multiplicities, row) if s) for row in mask.tolist()]
+    """Exact weight of each word, the sum of m_i over its support, from its
+    nonzero mask: one int64 product over w-bit limbs of the m_i, with
+    w = 63 - bit_length(n) so that n limbs sum below 2^63."""
+    w = 63 - len(multiplicities).bit_length()
+    shifts = range(0, int(max(multiplicities)).bit_length(), w)
+    sums = mask @ np.array([[m >> s & (1 << w) - 1 for m in multiplicities] for s in shifts]).T
+    if len(shifts) > 1:  # join the limb sums into Python integers
+        return (sums.astype(object) @ [1 << s for s in shifts]).tolist()
+    return sums[:, 0].tolist()
 
 
 def _support_keys(mask: np.ndarray) -> np.ndarray:
@@ -396,9 +397,9 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
 def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     """The block pass over a stack of codes of shape (k, B, n), each block
     (words, B, n) field elements: (weights, qm), as _pass returns them.  For
-    one code with multiplicities, whose weights can exceed n, weights is
-    instead a Counter of its words' weights (_weights).  The supports are
-    compared as bit sets (_support_keys)."""
+    one code with multiplicities, whose weights can exceed n and 2^63,
+    weights is instead a Counter of its words' exact weights (_weights).
+    The supports are compared as bit sets (_support_keys)."""
     k, count, n = shape
     if multiplicities:
         weights = Counter()
@@ -604,8 +605,7 @@ def weight_spectrum(code: LinearCode) -> WeightSpectrum:
     Scalar multiples of a word share weight and support, so only one
     representative per 1-dimensional subspace is counted and each count
     scales by q - 1.  A plain code's words are counted in an (n + 1)-bin
-    histogram (_pass); only a code with multiplicities collects its
-    weights one by one.
+    histogram, and a code with multiplicities in a Counter (_pass).
     """
     return _spectrum(code, _enumerate(code, supports=False)[0])
 

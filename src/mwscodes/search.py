@@ -61,6 +61,10 @@ from .gf import _prime_power_decomposition, build_field
 from .matrixio import _dumps_rows, loads_code
 
 DEFAULT_SPACE_GUARD = 2**30
+# A random candidate holds k n entries, and its draws, weight pass and
+# witness re-check take memory in proportion: a [1048576, 2]_3 search,
+# k n = 2^21, peaks at about 165 MB.
+MAX_CANDIDATE_ENTRIES = 2**21
 
 
 def __getattr__(name: str):
@@ -80,7 +84,16 @@ def _process_pool(workers: int):
 
 
 class SearchSpaceTooLargeError(RuntimeError):
-    """Raised when exhaustive enumeration would exceed the space guard."""
+    """Raised when exhaustive enumeration would exceed the space guard, or
+    a candidate the candidate guard."""
+
+
+def _check_candidate_size(k: int, n: int) -> None:
+    """Refuse candidates of more than MAX_CANDIDATE_ENTRIES entries before
+    any chunk or draw."""
+    if k * n > MAX_CANDIDATE_ENTRIES:
+        raise SearchSpaceTooLargeError(
+            f"candidate size k n = {k}*{n} exceeds guard {MAX_CANDIDATE_ENTRIES}")
 
 
 def _check_field_and_dimension(q: int, k: int) -> None:
@@ -408,6 +421,7 @@ def search(config: SearchConfig) -> dict:
     definitive.  Witnesses are re-verified from their serialized form before
     being reported.
     """
+    _check_candidate_size(config.k, config.n_hi)
     t0 = time.monotonic()
     lengths = []
     shortest = None
@@ -483,6 +497,7 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
         raise ValueError("trials must be >= 1")
     n = math.ceil(k * lambda_q(q))
     _check_field_and_dimension(q, k)
+    _check_candidate_size(k, n)
     t0 = time.monotonic()
     hit = _scan_chunk((q, k, n, "random", seed, "qm", 0, trials))
     report = {
@@ -561,6 +576,7 @@ def estimate_expectation(
         raise ValueError("workers must be >= 1")
     if n < k:
         raise ValueError("need n >= k for a full-rank k x n matrix")
+    _check_candidate_size(k, n)
     t0 = time.monotonic()
     results = _run_chunks(_expectation_chunk, (q, k, n, seed), samples, workers)
     total = sum(r[0] for r in results)

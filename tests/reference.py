@@ -1,14 +1,16 @@
 """Slow reference oracles for the enumeration core in mwscodes.codes and
-for the threshold scan in mwscodes.bounds.
+for the threshold scan and its binomial sum in mwscodes.bounds.
 
 Messages come from the recursive generator the library used before its
 block enumerator, and words from per-message `codeword`; weights and
 supports are then counted one word at a time.  The threshold scan is the
-exact big-integer scan the library used before its interval scan.
+exact big-integer scan the library used before its interval scan, and the
+binomial sum is its one-line definition.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from types import SimpleNamespace
 
@@ -68,6 +70,11 @@ def is_mws(code) -> bool:
 def is_qm(code) -> bool:
     ws = words(code)
     return len({support(w) for w in ws}) == len(ws)
+
+
+def binom_sq_sum(n: int, q: int) -> int:
+    """bounds.binom_sq_sum by its definition, one fresh term per w."""
+    return sum(math.comb(n, w) ** 2 * (q - 1) ** (2 * w) for w in range(n + 1))
 
 
 def binom_sq_sums(q: int, n: int):

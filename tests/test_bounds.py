@@ -113,6 +113,14 @@ def test_binom_sq_sum_vandermonde_oracle(n):
     assert binom_sq_sum(n, 2) == math.comb(2 * n, n)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_binom_sq_sum_matches_its_definition(q):
+    assert [binom_sq_sum(n, q) for n in range(401)] == [reference.binom_sq_sum(n, q)
+                                                        for n in range(401)]
+    if q == 7:  # the Monte-Carlo long-code length
+        assert binom_sq_sum(1757, 7) == reference.binom_sq_sum(1757, 7)
+
+
 def test_eqbound_min_n_2_2():
     assert eqbound_min_n(2, 2) == 21
     assert eqbound_value(2, 2, 20) == Fraction(math.comb(40, 20), 2**36)

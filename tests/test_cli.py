@@ -19,6 +19,7 @@ from mwscodes.cli import main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
 SRC = Path(__file__).resolve().parents[1] / "src"
+search_mod = importlib.import_module("mwscodes.search")  # the package re-exports search()
 
 
 def run(capsys, *argv):
@@ -223,6 +224,20 @@ def test_search_with_a_huge_n_trips_the_space_guard_at_once(capsys):
     assert status == 3
     assert payload["error"] == "SearchSpaceTooLargeError"
     assert time.monotonic() - t0 < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--gv", "--q", "257", "--k", "2", "--trials", "1", "--seed", "0"],
+    ["montecarlo", "--q", "3", "--k", "2", "--n", "400000000", "--samples", "1", "--seed", "0"],
+    ["search", "--q", "3", "--k", "2", "--n", "1048577", "--trials", "1", "--seed", "0"],
+])
+def test_oversized_candidates_trip_the_guard_before_any_draw(capsys, monkeypatch, argv):
+    # k n above search.MAX_CANDIDATE_ENTRIES: a GV cell of n = 372874868, a
+    # Monte-Carlo run and a random search, each refused before its first draw
+    monkeypatch.setattr(search_mod, "_trial_draws", lambda *args: pytest.fail("drew"))
+    status, payload = run(capsys, *argv)
+    assert status == 3
+    assert payload["error"] == "SearchSpaceTooLargeError"
 
 
 def test_search_gv(capsys, monkeypatch):

@@ -1,8 +1,8 @@
 """The weight passes against the slow reference oracle in reference.py.
 
 Every analysis is checked with the default block size and with block sizes
-small enough to cut each code into several blocks, for plain, int64 and
-arbitrary-precision multiplicity profiles.  Plain [n, 2] codes over q > 2
+small enough to cut each code into several blocks, for plain profiles and
+for multiplicity profiles whose weights take one int64 limb or two.  Plain [n, 2] codes over q > 2
 take the point pass, the rest the block pass.
 """
 
@@ -28,7 +28,7 @@ from mwscodes import cli, codes
 
 # 127 and 131 sit on either side of the uint8 limit for word entries.
 FIELDS = [2, 3, 4, 5, 7, 8, 9, 25, 27, 127, 131, 243, 256, 257, 2187]
-PROFILES = ["plain", "small", "doubling20", "doubling64"]  # int64, int64, big ints
+PROFILES = ["plain", "small", "doubling20", "doubling64"]  # doubling64: two limbs, N >= 2^62
 BLOCK_SIZES = [codes.BLOCK_ROWS, 10, 3]
 
 

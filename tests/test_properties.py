@@ -1,5 +1,6 @@
 """Property tests over random code corpora and hypothesis-generated inputs."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from mwscodes import (
     weight_spectrum,
     weighted_weight,
 )
+from mwscodes import codes
 
 CORPUS_SEED = 20240817
 
@@ -105,6 +107,36 @@ def test_weighted_weight_additive_over_support(word, data):
     total = weighted_weight(word, mult)
     assert total == sum(m for x, m in zip(word, mult) if x)
     assert weighted_weight(word, [1] * len(word)) == sum(1 for x in word if x)
+
+
+# Multiplicity profiles for codes._weights, by name; "limbs" draws m_i of
+# exactly 1 to 5 limbs of w = 63 - bit_length(n) bits.
+WEIGHT_PROFILES = {
+    "ones": lambda n: [1] * n,
+    "small": lambda n: [1 + i % 4 for i in range(n)],
+    "doubling": lambda n: [2**i for i in range(n)],
+    "2^62": lambda n: [2**62] * n,
+    "2^63 - 1": lambda n: [2**63 - 1] * n,
+    "2^200 + i": lambda n: [2**200 + i for i in range(n)],
+}
+
+
+@given(
+    st.sampled_from([1, 2, 31, 63, 64, 65, 200]),
+    st.sampled_from([*WEIGHT_PROFILES, "limbs"]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_limb_weights_match_weighted_weight(n, profile, data):
+    if profile == "limbs":
+        bits = data.draw(st.integers(1, 5)) * (63 - n.bit_length())
+        m = data.draw(st.lists(st.integers(1, 2**bits - 1), min_size=n, max_size=n))
+        m[data.draw(st.integers(0, n - 1))] |= 1 << bits - 1
+    else:
+        m = WEIGHT_PROFILES[profile](n)
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
+    rows += [[True] * n, [False] * n]  # the largest sum, and none
+    assert codes._weights(m, np.array(rows)) == [weighted_weight(r, m) for r in rows]
 
 
 @given(st.sampled_from([2, 3, 4, 5]), st.integers(1, 3))
