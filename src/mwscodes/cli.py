@@ -169,32 +169,31 @@ def cmd_search(args) -> int:
     if args.gv:
         seed = _resolve_seed(args)
         report = gv_qm_search(args.q, args.k, trials=args.trials, seed=seed)
-        _emit(report)
-        return EXIT_OK
-    if args.n is None:
-        raise ValueError("--n is required unless --gv is given")
-    n_values = _parse_int_list(args.n)
-    if set(n_values) != set(range(min(n_values), max(n_values) + 1)):
-        raise ValueError(f"--n {args.n!r} is not a contiguous range of lengths")
-    seed = _resolve_seed(args) if args.mode == "random" else (args.seed or 0)
-    config = SearchConfig(
-        q=args.q,
-        k=args.k,
-        n_lo=min(n_values),
-        n_hi=max(n_values),
-        target=args.target,
-        mode=args.mode,
-        trials=args.trials,
-        seed=seed,
-        workers=args.workers,
-    )
-    report = search(config)
+        witness = report.get("witness")
+    else:
+        if args.n is None:
+            raise ValueError("--n is required unless --gv is given")
+        n_values = _parse_int_list(args.n)
+        if set(n_values) != set(range(min(n_values), max(n_values) + 1)):
+            raise ValueError(f"--n {args.n!r} is not a contiguous range of lengths")
+        seed = _resolve_seed(args) if args.mode == "random" else (args.seed or 0)
+        report = search(SearchConfig(
+            q=args.q,
+            k=args.k,
+            n_lo=min(n_values),
+            n_hi=max(n_values),
+            target=args.target,
+            mode=args.mode,
+            trials=args.trials,
+            seed=seed,
+            workers=args.workers,
+        ))
+        witness = next((e["witness"] for e in report["lengths"] if e["found"]), None)
     # Saved before the payload is written, as construct --out is, so that a
     # closed stdout does not lose the witness file too.
-    if args.witness_out and report["shortest_success"] is not None:
-        entry = next(e for e in report["lengths"] if e.get("found"))
+    if args.witness_out and witness is not None:
         with open(args.witness_out, "w") as fh:
-            fh.write(entry["witness"]["matrix"])
+            fh.write(witness["matrix"])
         _diag(f"witness written to {args.witness_out}")
     _emit(report)
     return EXIT_OK

@@ -22,9 +22,9 @@ Reports are therefore byte-identical for any worker count and any chunking
 of the trial space.  Trial i's code is the first full-rank matrix among the
 draws of trial_rng(seed, i) (_draws).  The scans do not create that RNG:
 _trial_draws computes the same draws for a whole batch of trials with
-integer array arithmetic, and only a trial it cannot compute exactly (a
-rejected word in numpy's bounded draw, or an index of 2^32 or more) goes
-through trial_rng.  A scan takes its candidates in batches of one size,
+integer array arithmetic, and draws through trial_rng only the trials it
+cannot compute exactly (a rejected word in numpy's bounded draw, or an
+index of 2^32 or more).  A scan takes its candidates in batches of one size,
 bounded so that no array outgrows one enumeration block: one _trial_draws
 call draws a batch, one weight pass counts it, and its rank-deficient
 trials are redrawn together, one round at a time.  An early witness thus
@@ -167,17 +167,10 @@ def _hash_chain(start: int, mult: int, count: int) -> np.ndarray:
 _STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's, for 8 words
 
 
-def _limbs(a: int) -> tuple:
-    """A 128-bit constant as np.uint64 scalars: its high half, its low half
-    and the low half's two 32-bit limbs."""
-    low = a & _M64
-    return tuple(np.uint64(v) for v in (a >> 64, low, low & _M32, low >> 32))
-
-
-def _mul_const(xh, xl, a):
-    """(xh, xl) * a mod 2^128 on uint64 (high, low) arrays, for a constant a
-    in _limbs form; the low halves' full product goes through 32-bit limbs."""
-    ah, al, a0, a1 = a
+def _mul_const(xh, xl, a: int):
+    """(xh, xl) * a mod 2^128 on uint64 (high, low) arrays, for a 128-bit
+    constant a; the low halves' full product goes through 32-bit limbs."""
+    ah, al, a0, a1 = map(np.uint64, (a >> 64, a & _M64, a & _M32, a >> 32 & _M32))
     x0, x1 = xl & _M32, xl >> 32
     p00, p01, p10 = x0 * a0, x0 * a1, x1 * a0
     mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
@@ -191,38 +184,9 @@ def _add128(x, y):
     return x[0] + y[0] + (low < x[1]), low
 
 
-def _replay_plan(seed: int, r: int, q: int, kn: int) -> tuple:
-    """What _trial_draws needs for draw r of k n = kn entries, whatever the
-    trials: the seed's entropy pool, the spawn word's hash constants, the
-    word range (first, then the outputs m0 .. m1 - 1 holding it) and the
-    LCG constants (M^j, sum_{i<j} M^i) in _limbs form, for j = m0 + 2 and
-    for each doubling step h = 1, 2, 4, ... below m1 - m0."""
-    pool = np.random.SeedSequence(seed).pool  # refuses a negative seed
-    # the spawn word's hash constants follow the ones that built the pool:
-    # 4 to fill the pool, 12 to mix it, and 4 per seed word past the fourth
-    calls = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
-    start, mult = _ENTROPY_HASH
-    spawn = _hash_chain(start * pow(mult, calls, 2**32) & _M32, mult, 4)
-    reject = 2**32 % q
-    first = 0 if reject else r * kn  # the words to check or read
-    m0, m1 = first // 2, ((r + 1) * kn + 1) // 2  # the 64-bit outputs holding them
-    # j steps of x -> M x + c take x to M^j x + (sum_{i<j} M^i) c; the
-    # binary powers (a, s) of that map compose into j = m0 + 2 and are the
-    # doubling steps themselves
-    j, a, s, jump, steps = m0 + 2, _PCG_MULT, 1, (1, 0), []
-    for bit in range(max(j, m1 - m0 - 1).bit_length()):
-        if j >> bit & 1:
-            jump = (jump[0] * a % 2**128, (jump[1] * a + s) % 2**128)
-        if 1 << bit < m1 - m0:
-            steps.append((1 << bit, _limbs(a), _limbs(s)))
-        a, s = a * a % 2**128, s * (a + 1) % 2**128
-    return pool, spawn, reject, first, m0, m1, tuple(map(_limbs, jump)), tuple(steps)
-
-
-def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
+def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int) -> np.ndarray:
     """Draw r of each trial, next(islice(_draws(q, k, n, trial_rng(seed, t)),
-    r, None)), for all trials t at once: (matrices (B, k, n), mask of the
-    trials not computed, which the caller draws through trial_rng).
+    r, None)), for all trials t at once, as one (B, k, n) array.
 
     The steps replay numpy exactly.  SeedSequence hashes the seed's words
     into a pool, read here off numpy's own SeedSequence(seed), hashes each
@@ -236,18 +200,22 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
     h states after the first h are M^h times them plus (sum_{i<h} M^i) c,
     for h = 1, 2, 4, ..., one product by a 128-bit constant per state.
     integers(0, q) maps word u to u q >> 32, but rejects u when u q mod
-    2^32 < 2^32 mod q (never for q a power of 2): the draw holds words
-    r k n .. (r + 1) k n - 1 only when no earlier word was rejected.  A
-    trial with a rejected word, or an index of 2^32 or more (two spawn
-    words), is left to the caller.  The constants that depend only on
-    (seed, r, q, k n) come from _replay_plan, once per call.  The arrays
-    hold (r + 1) k n / 2 outputs per trial, so the caller bounds their size
-    by the trials it passes: _candidates passes one batch.
+    2^32 < 2^32 mod q: the draw holds words r k n .. (r + 1) k n - 1 only
+    when none of words 0 .. (r + 1) k n - 1 was rejected, so all of them
+    are computed, except for q a power of 2, which never rejects.  A trial
+    with a rejected word, or an index of 2^32 or more (two spawn words), is
+    drawn through trial_rng instead.  The arrays hold up to (r + 1) k n / 2
+    outputs per trial, so the caller bounds their size by the trials it
+    passes: _candidates passes one batch.
     """
-    kn = k * n
-    pool, spawn, reject, first, m0, m1, (jump_m, jump_s), steps = _replay_plan(seed, r, q, kn)
+    kn, count = k * n, (r + 1) * k * n
+    pool = np.random.SeedSequence(seed).pool  # refuses a negative seed
+    # the spawn word's hash constants follow the ones that built the pool:
+    # 4 to fill the pool, 12 to mix it, and 4 per seed word past the fourth
+    calls = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
+    start, mult = _ENTROPY_HASH
+    spawn = _hash_chain(start * pow(mult, calls, 2**32) & _M32, mult, 4)
     trials = np.asarray(trials, dtype=np.int64)
-    outputs = m1 - m0
     # the spawn word into the pool, then the pool into 8 state words;
     # uint32 arithmetic wraps mod 2^32 as SeedSequence's does
     v = ((trials[:, None] & _M32).astype(np.uint32) ^ spawn[:-1]) * spawn[1:]
@@ -258,26 +226,40 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int):
     v ^= v >> 16
     words = v.astype("<u4").view("<u8").astype(np.uint64)  # s high, s low, seq high, low
     inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
-    x_l = inc[1] + words[:, 1]
-    x = (inc[0] + words[:, 0] + (x_l < inc[1]), x_l)
-    # the output states, one row per output: the first from the formula,
-    # then each doubling step fills the next h rows from the first h
+    x = _add128(inc, (words[:, 0], words[:, 1]))
+    reject = 2**32 % q
+    m0 = 0 if reject else r * kn // 2  # the first output holding a word to read
+    outputs = (count + 1) // 2 - m0
+    # j steps of x -> M x + c take x to M^j x + S_j c, S_j = sum_{i<j} M^i;
+    # the binary powers (a, s) = (M^h, S_h) compose into j = m0 + 2
+    j, a, s, jump_m, jump_s = m0 + 2, _PCG_MULT, 1, 1, 0
+    while j:
+        if j & 1:
+            jump_m, jump_s = jump_m * a % 2**128, (jump_s * a + s) % 2**128
+        j, a, s = j >> 1, a * a % 2**128, s * (a + 1) % 2**128
+    # the output states, one row per output: state m0 + 2 by the jump, then
+    # each doubling step fills the next h rows from the first h
     st_h = np.empty((outputs, len(trials)), dtype=np.uint64)
     st_l = np.empty_like(st_h)
     st_h[0], st_l[0] = _add128(_mul_const(*x, jump_m), _mul_const(*inc, jump_s))
-    for h, mult, total in steps:
+    h, a, s = 1, _PCG_MULT, 1
+    while h < outputs:
         top = min(2 * h, outputs)
         st_h[h:top], st_l[h:top] = _add128(
-            _mul_const(st_h[:top - h], st_l[:top - h], mult), _mul_const(*inc, total))
+            _mul_const(st_h[:top - h], st_l[:top - h], a), _mul_const(*inc, s))
+        h, a, s = 2 * h, a * a % 2**128, s * (a + 1) % 2**128
     v, rot = st_h ^ st_l, st_h >> 58
     out = v >> rot | v << (-rot & 63)
     stream = out.T.astype("<u8", order="C").view("<u4")  # each output's low half first
-    scaled = stream[:, first - 2 * m0:(r + 1) * kn - 2 * m0].astype(np.uint64) * q
+    scaled = stream[:, :count - 2 * m0].astype(np.uint64) * q
     slow = trials >> 32 != 0
     if reject:
         slow |= ((scaled & _M32) < reject).any(axis=1)
     gens = (scaled[:, -kn:] >> 32).astype(np.int64).reshape(-1, k, n)
-    return gens, slow
+    for i in np.flatnonzero(slow):
+        rng = trial_rng(seed, int(trials[i]))
+        gens[i] = next(itertools.islice(_draws(q, k, n, rng), r, None))
+    return gens
 
 
 def random_code(q: int, k: int, n: int, rng: np.random.Generator) -> LinearCode:
@@ -329,25 +311,16 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
 
     Candidate i is trial i's code in random mode and the i-th systematic
     generator in exhaustive mode.  Random draws come from _trial_draws, one
-    call per batch and round, and from trial_rng for the trials it leaves
-    out.  A rank-deficient draw (bin 0 not empty) is replaced by its trial's
-    next draw: the batch's deficient trials draw again together until each
-    has full rank.  [I | A] has full rank, so exhaustive batches never
-    redraw."""
+    call per batch and round.  A rank-deficient draw (bin 0 not empty) is
+    replaced by its trial's next draw: the batch's deficient trials draw
+    again together until each has full rank.  [I | A] has full rank, so
+    exhaustive batches never redraw."""
     fld = build_field(q)
-
-    def draw(trials, r):
-        gens, slow = _trial_draws(seed, trials, r, q, k, n)
-        for j in np.flatnonzero(slow):
-            rng = trial_rng(seed, int(trials[j]))
-            gens[j] = next(itertools.islice(_draws(q, k, n, rng), r, None))
-        return gens
-
     most = max(1, min(_full_batch(q, k), codes.BLOCK_ROWS // (k * n)))
     for first in range(lo, hi, most):
         top = min(first + most, hi)
         if mode == "random":
-            gens = draw(np.arange(first, top), 0)
+            gens = _trial_draws(seed, np.arange(first, top), 0, q, k, n)
         else:
             gens = _systematic(q, k, n, first, top)
         hist, qm = _histograms(fld, gens.transpose(1, 0, 2), supports)
@@ -355,7 +328,7 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
         r = 0
         while len(redrawn):  # one pass per round of redraws
             r += 1
-            gens[redrawn] = draw(first + redrawn, r)
+            gens[redrawn] = _trial_draws(seed, first + redrawn, r, q, k, n)
             hist[redrawn], found = _histograms(fld, gens[redrawn].transpose(1, 0, 2), supports)
             if supports:
                 qm[redrawn] = found

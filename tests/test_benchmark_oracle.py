@@ -10,16 +10,20 @@ pooled ops split into many chunks.  The `verify` and `construct` ops of the
 `largefield` workload, [n, 2] codes over fields of 128 to 2187 elements,
 take the point pass; those of the `verify` workload include the doubling
 profiles, whose weights need one and several int64 limbs, and the checker
-compares their whole payloads.  The benchmark's modules are imported
-read-only; their ops write their files under tmp_path.
+compares their whole payloads.  Beyond the workloads' fixed shapes,
+hypothesis draws verify, construct and bounds ops over small fields.  The
+benchmark's modules are imported read-only; their ops write their files
+under a temporary directory.
 """
 
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwscodes import cli, codes
 
@@ -63,3 +67,22 @@ def test_workload_ops_pass_the_benchmark_checker(workload, count, seed, tmp_path
     ops = gen.make_ops(workload, seed, tmp_path)
     assert len(ops) == count
     assert_checked(ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(gen.BOUNDS_Q), k=st.integers(1, 4), extra=st.integers(0, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_drawn_ops_pass_the_benchmark_checker(q, k, extra, seed):
+    # bounds runs on every (q, k) of the grid, whose cells the checker takes
+    # from golden_bounds.json; the code ops keep q^k <= 2^10
+    n = k + extra
+    with tempfile.TemporaryDirectory() as tmp:
+        b = gen._OpList(seed, Path(tmp))
+        if q**k <= 2**10:
+            b.verify(q, k, n)
+            b.verify(q, k, n, mult=[2**i for i in range(n)])
+            b.embed(q, k, n, flags=("--verify-qm", "--verify-mws"))
+            b.repetition(q, k, n)
+            b.simplex(q, k)
+        b.bounds([q], [k])
+        assert_checked(b.ops)

@@ -162,6 +162,26 @@ def test_search_witness_out(capsys, tmp_path):
     assert is_mws(load_code(out))
 
 
+def test_search_gv_witness_out(capsys, monkeypatch, tmp_path):
+    # a GV run that finds a witness writes its matrix text; one that finds
+    # none (the scan forced empty) writes no file and no diagnostic
+    out = tmp_path / "witness.mat"
+    argv = ["search", "--gv", "--q", "3", "--k", "2", "--trials", "3", "--seed", "1",
+            "--witness-out", str(out)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["found"]
+    assert out.read_bytes() == payload["witness"]["matrix"].encode()
+    assert captured.err == f"witness written to {out}\n"
+    out.unlink()
+    monkeypatch.setattr(search_mod, "_scan_chunk", lambda args: None)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["found"] is False
+    assert not out.exists() and captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "simplex", "--q", "2", "--k", "40"],
     ["construct", "embed", "--q", "2", "--k", "40", "--source", "simplex"],

@@ -1,11 +1,11 @@
 """The vectorised trial generator, search._trial_draws, against trial_rng.
 
 A trial's matrices are defined as the draws of trial_rng(seed, t) (_draws).
-The kernel must give draw r of every trial it does not flag, flag exactly
-the trials whose word stream had a rejected word up to that draw or whose
-index needs two spawn words, and the scans must draw the flagged trials
-through trial_rng.  The rejection oracle reads the raw 64-bit outputs of
-trial_rng's bit generator and applies integers(0, q)'s rejection rule.
+The kernel must give draw r of every trial, and draw through trial_rng
+exactly the trials whose word stream had a rejected word up to that draw
+or whose index needs two spawn words.  The rejection oracle reads the raw
+64-bit outputs of trial_rng's bit generator and applies integers(0, q)'s
+rejection rule.
 """
 
 import importlib
@@ -47,41 +47,55 @@ def reference_rejected(seed, trial, r, q, k, n):
     return bool((words * q & 0xFFFFFFFF < 2**32 % q).any())
 
 
-def check_against_reference(seed, trials, q):
-    """The number of (shape, round, trial) cells the kernel flagged."""
-    flagged = 0
+def record_trial_rngs(monkeypatch):
+    """Patch search.trial_rng to log the trial of each call."""
+    calls = []
+
+    def recording(seed, trial):
+        calls.append(trial)
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(search_mod, "trial_rng", recording)
+    return calls
+
+
+def check_against_reference(seed, trials, q, monkeypatch):
+    """The number of (shape, round, trial) cells drawn through trial_rng."""
+    calls = record_trial_rngs(monkeypatch)
     for (k, n), r in itertools.product(SHAPES, ROUNDS):
-        gens, slow = search_mod._trial_draws(seed, np.array(trials), r, q, k, n)
+        start = len(calls)
+        gens = search_mod._trial_draws(seed, np.array(trials), r, q, k, n)
         assert gens.shape == (len(trials), k, n) and gens.dtype == np.int64
+        assert calls[start:] == [t for t in trials
+                                 if t >> 32 or reference_rejected(seed, t, r, q, k, n)]
         for j, t in enumerate(trials):
-            assert slow[j] == reference_rejected(seed, t, r, q, k, n)
-            if not slow[j]:
-                assert np.array_equal(gens[j], reference_draw(seed, t, r, q, k, n))
-        flagged += int(slow.sum())
-    return flagged
+            assert np.array_equal(gens[j], reference_draw(seed, t, r, q, k, n))
+    return len(calls)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("q", QS)
-def test_kernel_matches_trial_rng(q, seed):
+def test_kernel_matches_trial_rng(q, seed, monkeypatch):
     rng = np.random.default_rng(q)
     trials = [0, 1, 2**31 - 1, 2**32 - 1] + rng.integers(0, 2**32, 4).tolist()
-    check_against_reference(seed, trials, q)
+    check_against_reference(seed, trials, q, monkeypatch)
 
 
 @pytest.mark.parametrize("q", [3 * 2**30, 5 * 2**29 + 1, 2**31 + 1])
-def test_kernel_flags_exactly_the_rejected_trials(q):
+def test_kernel_flags_exactly_the_rejected_trials(q, monkeypatch):
     # integers(0, q) rejects a word with probability (2^32 mod q) / 2^32:
     # 1/4, 3/8 and nearly 1/2 here, so most trials meet one in some round
-    flagged = check_against_reference(7, list(range(12)), q)
+    flagged = check_against_reference(7, list(range(12)), q, monkeypatch)
     assert 0 < flagged < len(SHAPES) * len(ROUNDS) * 12
 
 
-def test_kernel_flags_trials_past_two_to_the_32():
-    trials = np.array([2**32 - 1, 2**32, 2**32 + 5, 2**40])
-    gens, slow = search_mod._trial_draws(3, trials, 1, 4, 2, 5)
-    assert slow.tolist() == [False, True, True, True]
-    assert np.array_equal(gens[0], reference_draw(3, 2**32 - 1, 1, 4, 2, 5))
+def test_kernel_flags_trials_past_two_to_the_32(monkeypatch):
+    calls = record_trial_rngs(monkeypatch)
+    trials = [2**32 - 1, 2**32, 2**32 + 5, 2**40]
+    gens = search_mod._trial_draws(3, np.array(trials), 1, 4, 2, 5)
+    assert calls == trials[1:]
+    for j, t in enumerate(trials):
+        assert np.array_equal(gens[j], reference_draw(3, t, 1, 4, 2, 5))
 
 
 def test_kernel_refuses_a_negative_seed():
@@ -100,30 +114,13 @@ def reference_candidates(q, k, n, seed, lo, hi):
             for t in range(lo, hi)]
 
 
-@pytest.mark.parametrize("q,k,n", [(2, 3, 3), (3, 2, 3), (5, 2, 4)])
-def test_scan_draws_flagged_trials_through_trial_rng(q, k, n, monkeypatch):
-    # a rejection is too rare to meet by chance, so the mask is forced: every
-    # other trial comes back flagged with a nonsense matrix, in the first
-    # draws and in the redraws of rank-deficient ones (square binary 3 x 3
-    # draws are rank deficient 2 times in 3)
-    expected = candidates(q, k, n, 4, 0, 40)
-    real = search_mod._trial_draws
-
-    def flagging(seed, trials, r, q, k, n):
-        gens, slow = real(seed, trials, r, q, k, n)
-        slow[::2] = True
-        gens[slow] = -1
-        return gens, slow
-
-    monkeypatch.setattr(search_mod, "_trial_draws", flagging)
-    assert candidates(q, k, n, 4, 0, 40) == expected
-    gens = [g for _, batch, _ in expected for g in batch]
-    assert gens == reference_candidates(q, k, n, 4, 0, 40)
-
-
-def test_scan_draws_trials_past_two_to_the_32_through_trial_rng():
+def test_scan_draws_trials_past_two_to_the_32_through_trial_rng(monkeypatch):
+    # square binary 3 x 3 draws are rank deficient 2 times in 3, so the
+    # trials from 2^32 on also take their redraws through trial_rng
     lo, hi = 2**32 - 3, 2**32 + 3
+    calls = record_trial_rngs(monkeypatch)
     gens = [g for _, batch, _ in candidates(2, 3, 3, 9, lo, hi) for g in batch]
+    assert set(calls) == set(range(2**32, hi)) and len(calls) > hi - 2**32
     assert gens == reference_candidates(2, 3, 3, 9, lo, hi)
 
 
