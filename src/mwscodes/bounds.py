@@ -20,6 +20,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from .gf import _prime_power_decomposition
+
 # bounds_table refuses a cell whose exact powers 2^e need more bits than
 # this: printing 2**2**20 in decimal already takes about 2 s, and e grows like
 # k q^3 ln q (gv_qm_length) and like q^(k-1) (the simplex length).
@@ -264,7 +266,8 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int],
 
     Every cell's k and power limit are checked, in that order, before any
     threshold is scanned: k < 1 raises ValueError, and a cell whose embedded
-    lengths 2^e have e > MAX_POWER_BITS raises PowerTooLargeError.  lambda_q,
+    lengths 2^e have e > MAX_POWER_BITS raises PowerTooLargeError.  A q is
+    factored (NotPrimePowerError) only once its first cell passes.  lambda_q,
     mu_q and the eqbound_min_n thresholds are computed once per q, the
     thresholds of all ks by one scan capped at eqbound_cap.  The cap stays
     because thresholds grow like q^{4k+2}: (9, 4) lies near n = 9e10, beyond
@@ -277,15 +280,17 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int],
         for k in ks:
             if k < 1:
                 raise ValueError(f"k must be >= 1, got {k}")
-            if q not in factors:
-                factors[q] = lambda_q(q), mu_q(q)
-            gv_len = math.ceil(k * factors[q][0])
+            lam, mu = factors[q] if q in factors else (lambda_q(q), mu_q(q))
+            gv_len = math.ceil(k * lam)
             simplex_len = (q**k - 1) // (q - 1)
             exponent = max(gv_len, simplex_len - 1)
             if exponent > MAX_POWER_BITS:
                 raise PowerTooLargeError(
                     f"(q, k) = ({q}, {k}) needs 2^{exponent}; exponents above "
                     f"MAX_POWER_BITS = {MAX_POWER_BITS} are refused")
+            if q not in factors:
+                _prime_power_decomposition(q)
+                factors[q] = lam, mu
             cells.append((q, k, gv_len, simplex_len))
     thresholds = {q: _eqbound_scan(q, ks, eqbound_cap) for q in factors}
     reports = []

@@ -30,7 +30,6 @@ from .codes import EnumerationTooLargeError, spectrum_report
 from .gf import (
     FieldTooLargeError,
     NotPrimePowerError,
-    _prime_power_decomposition,
     describe_field,
     field_parameters,
 )
@@ -100,24 +99,30 @@ def _resolve_seed(args) -> int:
 
 # -- construct ----------------------------------------------------------------
 
+def _load_base(args):
+    """The --in code, refused when --q, or a given --k, differs from it."""
+    base = load_code(args.infile)
+    for name, given, found in (("q", args.q, base.q), ("k", args.k, base.k)):
+        if given is not None and given != found:
+            raise ValueError(f"--{name} {given} differs from the file's {name} = {found}")
+    return base
+
+
 def cmd_construct(args) -> int:
     kind = args.kind
+    k = 1 if args.k is None else args.k  # for the codes built here; a file has its own
     if kind in ("simplex", "identity"):
         maker = constructions.simplex if kind == "simplex" else constructions.identity_code
-        constructions._guarded_field(args.q, args.k)  # identity_code builds its generator unguarded
-        code = maker(args.q, args.k)
+        constructions._guarded_field(args.q, k)  # identity_code builds its generator unguarded
+        code = maker(args.q, k)
         report = {"construction": kind, **spectrum_report(code)}
     elif kind == "embed":
-        if args.infile:
-            base = load_code(args.infile)
-            source = base
-        else:
-            source = args.source or "identity"
-        code, report = constructions.mws_pipeline(args.q, args.k, source)
+        source = _load_base(args) if args.infile else args.source or "identity"
+        code, report = constructions.mws_pipeline(args.q, k, source)
     elif kind == "repetition":
         if not args.infile or not args.profile:
             raise ValueError("repetition needs --in and --profile")
-        base = load_code(args.infile)
+        base = _load_base(args)
         profile = [int(t) for t in args.profile.split(",")]
         code = constructions.generalized_repetition(base, profile)
         report = {"construction": "repetition", **spectrum_report(code)}
@@ -213,8 +218,6 @@ def cmd_montecarlo(args) -> int:
 def cmd_bounds(args) -> int:
     q_list = _parse_int_list(args.q)
     k_list = _parse_int_list(args.k)
-    for q in q_list:
-        _prime_power_decomposition(q)  # rejects non-prime-power q
     reports = [cell.to_dict() for cell in bounds_mod.bounds_table(q_list, k_list)]
     if args.format == "json":
         _emit({"cells": reports})
@@ -257,7 +260,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         c = sub.add_parser("construct", help="build a code and optionally verify it")
         c.add_argument("kind", choices=["simplex", "identity", "embed", "repetition"])
         c.add_argument("--q", type=int, required=True)
-        c.add_argument("--k", type=int, default=1)
+        c.add_argument("--k", type=int, default=None)
         c.add_argument("--source", choices=["identity", "simplex"], default=None,
                        help="base construction for embed")
         c.add_argument("--in", dest="infile", default=None, help="base matrix file")

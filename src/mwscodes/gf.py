@@ -277,6 +277,9 @@ def field_parameters(q: int) -> tuple[int, int, tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def build_field(q: int) -> GF:
-    """Construct GF(q), raising NotPrimePowerError if q is not a prime power
-    and FieldTooLargeError if q exceeds MAX_TABLE_ORDER."""
+    """Construct GF(q), raising FieldTooLargeError if q exceeds
+    MAX_TABLE_ORDER, before q is factored, and NotPrimePowerError if q is
+    not a prime power."""
+    if q > MAX_TABLE_ORDER:
+        raise FieldTooLargeError(f"GF({q}) exceeds the arithmetic table limit {MAX_TABLE_ORDER}")
     return GF(*field_parameters(q))

@@ -1,6 +1,7 @@
 """Randomized and exhaustive searches for QM / MWS codes.
 
-Random, exhaustive and GV searches (a GV search is a random QM scan) share
+SearchConfig checks every run.  Random, exhaustive and GV searches (GV is
+a random QM search of one length) scan each length by _search_length and
 one candidate scan, _scan_chunk, which returns the first accepted candidate
 of an index range.  Search and Monte-Carlo share one runner, _run_chunks,
 which runs the index space as one task, or in chunks in a process pool,
@@ -57,7 +58,7 @@ from .codes import (
     is_qm,
     projective_representative_count,
 )
-from .gf import _prime_power_decomposition, build_field
+from .gf import build_field
 from .matrixio import _dumps_rows, loads_code
 
 DEFAULT_SPACE_GUARD = 2**30
@@ -88,25 +89,12 @@ class SearchSpaceTooLargeError(RuntimeError):
     a candidate the candidate guard."""
 
 
-def _check_candidate_size(k: int, n: int) -> None:
-    """Refuse candidates of more than MAX_CANDIDATE_ENTRIES entries before
-    any chunk or draw."""
-    if k * n > MAX_CANDIDATE_ENTRIES:
-        raise SearchSpaceTooLargeError(
-            f"candidate size k n = {k}*{n} exceeds guard {MAX_CANDIDATE_ENTRIES}")
-
-
-def _check_field_and_dimension(q: int, k: int) -> None:
-    """Refuse a q that is not a prime power and a k below 1 before any
-    chunking: _full_batch divides by the (q^k - 1)/(q - 1) words of a code."""
-    _prime_power_decomposition(q)
-    if k < 1:
-        raise ValueError("generator needs at least one row")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters of one search run."""
+    """Parameters of one search, GV or Monte-Carlo run, checked here alone,
+    cheapest first: q by build_field (table bound, then factoring), k >= 1,
+    n_lo <= n_hi, target, mode, trials and seed (random mode), workers, and
+    the candidate guard k n_hi <= MAX_CANDIDATE_ENTRIES."""
 
     q: int
     k: int
@@ -119,7 +107,9 @@ class SearchConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_field_and_dimension(self.q, self.k)
+        build_field(self.q)
+        if self.k < 1:
+            raise ValueError("generator needs at least one row")
         if self.n_lo > self.n_hi:
             raise ValueError("n_lo must be <= n_hi")
         if self.target not in ("mws", "qm"):
@@ -127,11 +117,14 @@ class SearchConfig:
         if self.mode not in ("random", "exhaustive"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "random" and self.trials < 1:
-            raise ValueError("random mode needs trials >= 1")
+            raise ValueError("trials must be >= 1")
         if self.mode == "random":
             np.random.SeedSequence(self.seed)  # a negative seed fails; exhaustive mode reads none
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.k * self.n_hi > MAX_CANDIDATE_ENTRIES:
+            raise SearchSpaceTooLargeError(
+                f"candidate size k n = {self.k}*{self.n_hi} exceeds guard {MAX_CANDIDATE_ENTRIES}")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -391,10 +384,17 @@ def search(config: SearchConfig) -> dict:
 
     Random mode tests config.trials random codes per length; exhaustive mode
     scans every systematic generator, so its negative verdicts are
-    definitive.  Witnesses are re-verified from their serialized form before
-    being reported.
+    definitive; the space guard is checked once, at n_hi, before any length.
+    Witnesses are re-verified from their serialized form before being
+    reported.
     """
-    _check_candidate_size(config.k, config.n_hi)
+    q, e = config.q, config.k * (config.n_hi - config.k)
+    # q^e >= 2^e > the guard once e reaches its bit length: a long n is
+    # refused without computing q^e
+    if config.mode == "exhaustive" and (
+            e >= DEFAULT_SPACE_GUARD.bit_length() or q**e > DEFAULT_SPACE_GUARD):
+        raise SearchSpaceTooLargeError(
+            f"systematic space q^(k(n-k)) = {q}**{e} exceeds guard {DEFAULT_SPACE_GUARD}")
     t0 = time.monotonic()
     lengths = []
     shortest = None
@@ -402,7 +402,7 @@ def search(config: SearchConfig) -> dict:
         if n < config.k:
             lengths.append({"n": n, "skipped": "n < k", "found": False})
             continue
-        entry = _search_length(config, n)
+        entry, _ = _search_length(config, n)
         lengths.append(entry)
         if entry["found"] and shortest is None:
             shortest = n
@@ -419,41 +419,26 @@ def search(config: SearchConfig) -> dict:
     }
 
 
-def _witness_entry(matrix_text: str, target: str) -> dict:
-    code = loads_code(matrix_text)
-    if not (is_mws if target == "mws" else is_qm)(code):
-        raise AssertionError("witness failed re-verification from serialized form")
-    return {
-        "matrix": matrix_text,
-        "has_zero_column": code.has_zero_column(),
-    }
-
-
-def _search_length(config: SearchConfig, n: int) -> dict:
+def _search_length(config: SearchConfig, n: int) -> tuple[dict, tuple[int, str, int] | None]:
+    """Length n's payload entry and scan hit (index, matrix text, minimum
+    distance) or None; search has checked the space guard."""
     q, k = config.q, config.k
     exhaustive = config.mode == "exhaustive"
-    if exhaustive:
-        e = k * (n - k)
-        # q^e >= 2^e > the guard once e reaches its bit length: a long n is
-        # refused without computing q^e
-        if e >= DEFAULT_SPACE_GUARD.bit_length() or q**e > DEFAULT_SPACE_GUARD:
-            raise SearchSpaceTooLargeError(
-                f"systematic space q^(k(n-k)) = {q}**{e} exceeds guard {DEFAULT_SPACE_GUARD}"
-            )
-        space = q**e
-    else:
-        space = config.trials
+    space = q ** (k * (n - k)) if exhaustive else config.trials
     args = (q, k, n, config.mode, config.seed, config.target)
     hit = _run_chunks(_scan_chunk, args, space, config.workers,
                       stop=lambda result: result is not None)[-1]
     entry = {"n": n, "found": hit is not None, "witness": None}
     if hit is not None:
         index, text, _ = hit
-        entry["witness"] = _witness_entry(text, config.target)
+        code = loads_code(text)  # the witness is re-verified from its text
+        if not (is_mws if config.target == "mws" else is_qm)(code):
+            raise AssertionError("witness failed re-verification from serialized form")
+        entry["witness"] = {"matrix": text, "has_zero_column": code.has_zero_column()}
         entry["witness_index" if exhaustive else "witness_trial"] = index
     entry["candidates_examined"] = space if hit is None else hit[0] + 1
     entry["definitive"] = exhaustive
-    return entry
+    return entry, hit
 
 
 # -- GV-style QM search -------------------------------------------------------
@@ -461,18 +446,16 @@ def _search_length(config: SearchConfig, n: int) -> dict:
 def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
     """Random search for a QM code at the GV-type length n = ceil(k lambda_q).
 
-    A QM scan: the d/N condition d (q-1) > (q-2) n implies QM (two
-    independent words of one support S give (q-1) d <= (q-2) |S|), so the
-    report reads off the witness's distance which check accepts it.  Not
-    finding a witness within the trial budget is an outcome, not an error.
+    A QM search of that one length by _search_length: the d/N condition
+    d (q-1) > (q-2) n implies QM (two independent words of one support S
+    give (q-1) d <= (q-2) |S|), so the report reads off the scan's witness
+    distance which check accepts it.  Not finding a witness within the
+    trial budget is an outcome, not an error.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = math.ceil(k * lambda_q(q))
-    _check_field_and_dimension(q, k)
-    _check_candidate_size(k, n)
+    config = SearchConfig(q, k, n, n, target="qm", trials=trials, seed=seed)
     t0 = time.monotonic()
-    hit = _scan_chunk((q, k, n, "random", seed, "qm", 0, trials))
+    entry, hit = _search_length(config, n)
     report = {
         "q": q,
         "k": k,
@@ -480,16 +463,16 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
         "target": "qm",
         "seed": seed,
         "trials": trials,
-        "found": hit is not None,
+        "found": entry["found"],
         "wall_clock_seconds": time.monotonic() - t0,
     }
     if hit is not None:
-        index, text, d = hit
+        index, _, d = hit
         report.update(
             {
                 "witness_trial": index,
                 "acceptance_path": "sufficient_dn" if d * (q - 1) > (q - 2) * n else "support_check",
-                "witness": _witness_entry(text, "qm"),
+                "witness": entry["witness"],
             }
         )
     return report
@@ -540,16 +523,12 @@ def estimate_expectation(
 ) -> ExpectationEstimate:
     """Sample random [n,k]_q codes and compare the mean collision statistic
     sum_w A_w(A_w - (q-1)) against its exact theoretical ceiling
-    q^{2k-2n} sum_w C(n,w)^2 (q-1)^{2w}."""
-    _check_field_and_dimension(q, k)
+    q^{2k-2n} sum_w C(n,w)^2 (q-1)^{2w}.  SearchConfig checks the run."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    np.random.SeedSequence(seed)  # refuses a negative seed
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    SearchConfig(q, k, n, n, trials=samples, seed=seed, workers=workers)
     if n < k:
         raise ValueError("need n >= k for a full-rank k x n matrix")
-    _check_candidate_size(k, n)
     t0 = time.monotonic()
     results = _run_chunks(_expectation_chunk, (q, k, n, seed), samples, workers)
     total = sum(r[0] for r in results)

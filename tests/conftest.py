@@ -2,7 +2,7 @@
 
 import pytest
 
-from mwscodes import codes
+from mwscodes import codes, gf
 
 
 @pytest.fixture
@@ -18,3 +18,14 @@ def block_rows(monkeypatch):
 
     yield set_rows
     codes._layout.cache_clear()
+
+
+@pytest.fixture
+def no_factoring(monkeypatch):
+    """Make factoring a field order by trial division fail the test, for
+    inputs that a guard must refuse before they are factored."""
+
+    def factored(*args, **kwargs):
+        pytest.fail("q was factored")
+
+    monkeypatch.setattr(gf, "_prime_factors", factored)

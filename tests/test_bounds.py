@@ -45,6 +45,20 @@ def test_entropy_domain_error():
         entropy_q(2, 1.1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: entropy_q(1, 0.5), "entropy base must be >= 2"),
+    (lambda: lambda_q(1), "q must be >= 2"),
+    (lambda: lambda_q(-3), "q must be >= 2"),
+    (lambda: mu_q(1), "q must be >= 2"),
+    (lambda: binom_sq_sum(-1, 3), "n must be >= 0"),
+    (lambda: max_term(-1, 3), "n must be >= 0"),
+])
+def test_formulas_refuse_q_below_2_and_negative_n(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 9])
 def test_entropy_concave_on_grid(q):
     xs = [i / 200 for i in range(201)]
@@ -386,6 +400,23 @@ def test_bounds_table_checks_every_cell_before_any_scan(monkeypatch, ks, error):
     monkeypatch.setattr(bounds_mod, "_eqbound_scan", no_scan)
     with pytest.raises(error):
         bounds_table([2], ks)
+
+
+@pytest.mark.parametrize("qs, ks, error", [
+    ([6], [1], "6 is not a prime power"),
+    ([2, 10], [1, 2], "10 is not a prime power"),
+    ([3, 6], [0], "k must be >= 1, got 0"),  # every cell's k comes first
+])
+def test_bounds_table_refuses_a_q_that_is_not_a_prime_power(qs, ks, error):
+    with pytest.raises(ValueError) as exc:
+        bounds_table(qs, ks)
+    assert str(exc.value) == error
+
+
+def test_bounds_table_factors_q_only_after_its_power_bound(no_factoring):
+    for q in (999999999999999989, 2**40 * 3):  # a prime and a q of two primes
+        with pytest.raises(PowerTooLargeError):
+            bounds_report(q, 1)
 
 
 def test_bounds_report_keeps_the_largest_cell_below_the_bit_limit():

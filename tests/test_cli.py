@@ -603,3 +603,75 @@ def test_construct_repetition_from_file(capsys, tmp_path):
     assert payload["N"] == 7
     code = loads_code(payload["matrix"])
     assert code.multiplicities == (1, 2, 4)
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["search", "--q", "3", "--k", "2"], "--n is required unless --gv is given"),
+    (["montecarlo", "--q", "3", "--k", "3", "--n", "2", "--samples", "2", "--seed", "1"],
+     "need n >= k for a full-rank k x n matrix"),
+    (["construct", "simplex", "--q", "3", "--k", "0"], "dimension must be >= 1"),
+    (["construct", "identity", "--q", "3", "--k", "0"], "dimension must be >= 1"),
+    (["verify", "--in", "{mat}"], "generator entry outside [0, q)"),
+])
+def test_bad_arguments_exit_2_with_their_detail(capsys, tmp_path, argv, detail):
+    mat = tmp_path / "m.mat"
+    mat.write_text("3 1 2\n1 3\n")  # entry 3 lies outside GF(3)
+    status, payload = run(capsys, *(str(mat) if a == "{mat}" else a for a in argv))
+    assert status == cli.EXIT_BAD_INPUT == 2
+    assert payload["detail"] == detail
+
+
+HUGE_PRIME = 999999999999999989  # trial division would take about 10^9 steps
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--in", "{mat}"], "FieldTooLargeError"),
+    (["construct", "simplex", "--q", str(HUGE_PRIME), "--k", "2"], "FieldTooLargeError"),
+    (["search", "--q", str(HUGE_PRIME), "--k", "2", "--n", "5", "--seed", "0"],
+     "FieldTooLargeError"),
+    (["search", "--gv", "--q", str(HUGE_PRIME), "--k", "2", "--seed", "0"],
+     "FieldTooLargeError"),
+    (["montecarlo", "--q", str(HUGE_PRIME), "--k", "2", "--n", "5", "--samples", "2",
+      "--seed", "0"], "FieldTooLargeError"),
+    (["bounds", "--q", str(HUGE_PRIME), "--k", "1"], "PowerTooLargeError"),
+])
+def test_a_huge_q_trips_a_guard_without_being_factored(capsys, no_factoring, tmp_path,
+                                                       argv, error):
+    mat = tmp_path / "huge.mat"
+    mat.write_text(f"{HUGE_PRIME} 1 2\n1 5\n")
+    status, payload = run(capsys, *(str(mat) if a == "{mat}" else a for a in argv))
+    assert status == cli.EXIT_GUARD == 3
+    assert payload["error"] == error
+
+
+QM_5_2 = "5 2 5\n1 0 1 1 1\n0 1 1 2 3\n"  # a QM [5, 2]_5 code
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["construct", "repetition", "--q", "7", "--k", "9", "--in", "{mat}",
+      "--profile", "1,2,3,4,5"], "--q 7 differs from the file's q = 5"),
+    (["construct", "repetition", "--q", "5", "--k", "3", "--in", "{mat}",
+      "--profile", "1,2,3,4,5"], "--k 3 differs from the file's k = 2"),
+    (["construct", "embed", "--q", "3", "--k", "2", "--in", "{mat}"],
+     "--q 3 differs from the file's q = 5"),
+    (["construct", "embed", "--q", "5", "--k", "1", "--in", "{mat}"],
+     "--k 1 differs from the file's k = 2"),
+])
+def test_construct_from_file_refuses_a_q_or_k_the_file_contradicts(capsys, tmp_path,
+                                                                  argv, detail):
+    mat = tmp_path / "m.mat"
+    mat.write_text(QM_5_2)
+    status, payload = run(capsys, *(str(mat) if a == "{mat}" else a for a in argv))
+    assert status == 2
+    assert payload == {"error": "ValueError", "detail": detail}
+
+
+@pytest.mark.parametrize("kind, extra", [("repetition", ["--profile", "1,2,3,4,5"]),
+                                         ("embed", [])])
+def test_construct_from_file_takes_k_from_the_file_without_k(capsys, tmp_path, kind, extra):
+    mat = tmp_path / "m.mat"
+    mat.write_text(QM_5_2)
+    status, payload = run(capsys, "construct", kind, "--q", "5", "--in", str(mat), *extra)
+    assert status == 0
+    report = payload if kind == "repetition" else payload["embedded"]
+    assert (report["q"], report["k"]) == (5, 2)

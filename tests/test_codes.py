@@ -254,6 +254,20 @@ def test_matrix_parse_errors():
         loads_code("2 2 2\n1 0\n")
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_code(3, [[1, 0], [1]]), "generator rows have unequal lengths"),
+    (lambda: make_code(3, [[]]), "generator needs at least one column"),
+    (lambda: make_code(3, [[1, 3]]), "generator entry outside [0, q)"),
+    (lambda: make_code(3, [[1, -1]]), "generator entry outside [0, q)"),
+    (lambda: loads_code("3 2 2\n1 0\n0 1 2\n"), "rows must have exactly n=2 entries"),
+    (lambda: codeword(make_code(3, [[1, 0], [0, 1]]), (1,)), "message length differs from k"),
+])
+def test_malformed_codes_and_messages_are_refused(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_spectrum_report_shape():
     rep = spectrum_report(make_code(2, STAIR_2))
     assert rep["q"] == 2 and rep["k"] == 2 and rep["n"] == 3 and rep["N"] == 3

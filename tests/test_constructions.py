@@ -131,3 +131,14 @@ def test_embed_preserves_generator():
     out = embed_f(base)
     assert out.generator == base.generator
     assert out.k == base.k
+
+
+@pytest.mark.parametrize("source, message", [
+    ("bogus", "unknown source 'bogus'"),
+    (None, "unknown source None"),
+    (generalized_repetition(identity_code(3, 2), (1, 2)), "pipeline source must be a plain code"),
+])
+def test_pipeline_refuses_an_unknown_or_non_plain_source(source, message):
+    with pytest.raises(ValueError) as exc:
+        mws_pipeline(3, 2, source)
+    assert str(exc.value) == message

@@ -228,3 +228,22 @@ def test_fields_above_the_table_limit_raise_before_building_tables():
         build_field(MAX_TABLE_ORDER + 1)  # 65537 is prime
     with pytest.raises(NotPrimePowerError):
         field_parameters(2 * big)
+
+
+@pytest.mark.parametrize("modulus, message", [
+    ((1, 1, 0), "modulus must be monic of degree m"),  # x + 1 padded, not monic
+    ((1, 1), "modulus must be monic of degree m"),  # degree 1, not 2
+    ((0, 0, 1), "modulus (0, 0, 1) is reducible over GF(2)"),  # x^2
+    ((1, 0, 1), "modulus (1, 0, 1) is reducible over GF(2)"),  # (x + 1)^2
+])
+def test_a_modulus_that_is_not_monic_irreducible_is_refused(modulus, message):
+    with pytest.raises(ValueError) as exc:
+        gf.GF(2, 2, modulus)
+    assert str(exc.value) == message
+
+
+def test_build_field_refuses_a_huge_order_before_factoring_it(no_factoring):
+    # trial division of a 61-bit prime would take about 2^30 steps
+    for q in (2**61 - 1, 999999999999999989, 2**16 * 3):
+        with pytest.raises(FieldTooLargeError):
+            build_field(q)

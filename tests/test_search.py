@@ -100,6 +100,19 @@ def test_random_code_needs_n_ge_k():
 
 # -- search -------------------------------------------------------------------
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"n_lo": 6, "n_hi": 5}, "n_lo must be <= n_hi"),
+    ({"target": "gv"}, "unknown target 'gv'"),
+    ({"mode": "pruned"}, "unknown mode 'pruned'"),
+    ({"trials": 0}, "trials must be >= 1"),
+    ({"trials": -2}, "trials must be >= 1"),
+])
+def test_search_config_refuses_bad_parameters(overrides, message):
+    with pytest.raises(ValueError) as exc:
+        SearchConfig(**{"q": 3, "k": 2, "n_lo": 5, "n_hi": 6, **overrides})
+    assert str(exc.value) == message
+
+
 def test_exhaustive_binary_k2():
     config = SearchConfig(q=2, k=2, n_lo=2, n_hi=3, target="mws", mode="exhaustive")
     report = search(config)
@@ -124,6 +137,15 @@ def test_exhaustive_guard():
     # 4^(2*18) = 2^72 systematic generators, far above DEFAULT_SPACE_GUARD
     config = SearchConfig(q=4, k=2, n_lo=20, n_hi=20, target="mws", mode="exhaustive")
     with pytest.raises(SearchSpaceTooLargeError):
+        search(config)
+
+
+def test_exhaustive_guard_is_checked_at_n_hi_before_any_length(monkeypatch):
+    # n = 5 alone would pass; the range is refused for n_hi = 40 unscanned
+    monkeypatch.setattr(importlib.import_module("mwscodes.search"), "_scan_chunk",
+                        lambda args: pytest.fail("scanned"))
+    config = SearchConfig(q=3, k=2, n_lo=5, n_hi=40, mode="exhaustive")
+    with pytest.raises(SearchSpaceTooLargeError, match=re.escape("3**76 exceeds")):
         search(config)
 
 
