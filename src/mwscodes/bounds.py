@@ -266,7 +266,8 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int],
 
     Every cell's k and power limit are checked, in that order, before any
     threshold is scanned: k < 1 raises ValueError, and a cell whose embedded
-    lengths 2^e have e > MAX_POWER_BITS raises PowerTooLargeError.  A q is
+    lengths 2^e have e > MAX_POWER_BITS raises PowerTooLargeError, before
+    q^k or lambda_q is computed when q^(k-1) alone exceeds the limit.  A q is
     factored (NotPrimePowerError) only once its first cell passes.  lambda_q,
     mu_q and the eqbound_min_n thresholds are computed once per q, the
     thresholds of all ks by one scan capped at eqbound_cap.  The cap stays
@@ -280,6 +281,14 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int],
         for k in ks:
             if k < 1:
                 raise ValueError(f"k must be >= 1, got {k}")
+            # The exponent is at least simplex_len - 1 >= q^(k-1) >= 2^((k-1) d)
+            # with d = floor(log2 q).  Once that exceeds MAX_POWER_BITS the cell is
+            # refused before q**k, the float k * lambda_q or an exponent too long
+            # to print is computed (a q < 2 is lambda_q's error).
+            if q >= 2 and (k - 1) * (q.bit_length() - 1) >= MAX_POWER_BITS.bit_length():
+                raise PowerTooLargeError(
+                    f"(q, k) = ({q}, {k}) needs 2^e with e >= q^(k-1) > MAX_POWER_BITS "
+                    f"= {MAX_POWER_BITS}; such exponents are refused")
             lam, mu = factors[q] if q in factors else (lambda_q(q), mu_q(q))
             gv_len = math.ceil(k * lam)
             simplex_len = (q**k - 1) // (q - 1)

@@ -242,6 +242,69 @@ def cmd_field_info(args) -> int:
 
 COMMANDS = ("construct", "verify", "search", "montecarlo", "bounds", "field-info")
 
+# Each command's help and its arguments in add_argument order: the option
+# string, or a positional's name, and add_argument's keyword arguments.
+# build_parser adds them to argparse; _parse_direct parses from them alone.
+_ARGUMENTS = {
+    "construct": ("build a code and optionally verify it", (
+        ("kind", dict(choices=["simplex", "identity", "embed", "repetition"])),
+        ("--q", dict(type=int, required=True)),
+        ("--k", dict(type=int, default=None)),
+        ("--source", dict(choices=["identity", "simplex"], default=None,
+                          help="base construction for embed")),
+        ("--in", dict(dest="infile", default=None, help="base matrix file")),
+        ("--profile", dict(default=None, help="comma-separated multiplicities")),
+        ("--out", dict(default=None, help="write the matrix file here")),
+        ("--verify-qm", dict(action="store_true")),
+        ("--verify-mws", dict(action="store_true")),
+    )),
+    "verify": ("verify a matrix file", (
+        ("--in", dict(dest="infile", required=True)),
+        ("--qm", dict(action="store_true", help="exit status reflects QM only")),
+        ("--mws", dict(action="store_true", help="exit status reflects MWS only")),
+    )),
+    "search": ("random or exhaustive code search", (
+        ("--q", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--n", dict(default=None, help="length or range, e.g. 5..6")),
+        ("--target", dict(choices=["qm", "mws"], default="mws")),
+        ("--mode", dict(choices=["random", "exhaustive"], default="random")),
+        ("--trials", dict(type=int, default=10_000)),
+        ("--seed", dict(type=int, default=None)),
+        ("--workers", dict(type=int, default=1,
+                           help="worker processes for random and exhaustive search, started "
+                                "only for a space of more than one full enumeration batch; "
+                                "--gv runs serially")),
+        ("--gv", dict(action="store_true",
+                      help="QM search at the GV-type length ceil(k*lambda_q)")),
+        ("--witness-out", dict(default=None)),
+    )),
+    "montecarlo": ("estimate the expected collision statistic", (
+        ("--q", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--samples", dict(type=int, default=20_000)),
+        ("--seed", dict(type=int, default=None)),
+        ("--workers", dict(type=int, default=1,
+                           help="worker processes, started only for more than one full "
+                                "enumeration batch of samples")),
+    )),
+    "bounds": ("bound tables over a (q, k) grid", (
+        ("--q", dict(required=True, help="e.g. 3 or 3,4,5 or 2..9")),
+        ("--k", dict(required=True, help="e.g. 2 or 1..6")),
+        ("--format", dict(choices=["csv", "json"], default="json")),
+    )),
+    "field-info": ("describe GF(q)", (
+        ("--q", dict(type=int, required=True)),
+    )),
+}
+
+
+def _command_function(command: str):
+    """cmd_<command>, looked up when called: a caller that rebinds the
+    module's cmd_* names (as a tracer does) gets its own functions run."""
+    return globals()["cmd_" + command.replace("-", "_")]
+
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser: with a command, only that subcommand's parser is
@@ -255,79 +318,71 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # parser's does.  Set without a command, the metavar would replace
         # "command" in argparse's invalid-choice and required-argument errors.
         sub.metavar = "{" + ",".join(COMMANDS) + "}"
-
-    if command in (None, "construct"):
-        c = sub.add_parser("construct", help="build a code and optionally verify it")
-        c.add_argument("kind", choices=["simplex", "identity", "embed", "repetition"])
-        c.add_argument("--q", type=int, required=True)
-        c.add_argument("--k", type=int, default=None)
-        c.add_argument("--source", choices=["identity", "simplex"], default=None,
-                       help="base construction for embed")
-        c.add_argument("--in", dest="infile", default=None, help="base matrix file")
-        c.add_argument("--profile", default=None, help="comma-separated multiplicities")
-        c.add_argument("--out", default=None, help="write the matrix file here")
-        c.add_argument("--verify-qm", action="store_true")
-        c.add_argument("--verify-mws", action="store_true")
-        c.set_defaults(func=cmd_construct)
-
-    if command in (None, "verify"):
-        v = sub.add_parser("verify", help="verify a matrix file")
-        v.add_argument("--in", dest="infile", required=True)
-        v.add_argument("--qm", action="store_true", help="exit status reflects QM only")
-        v.add_argument("--mws", action="store_true", help="exit status reflects MWS only")
-        v.set_defaults(func=cmd_verify)
-
-    if command in (None, "search"):
-        s = sub.add_parser("search", help="random or exhaustive code search")
-        s.add_argument("--q", type=int, required=True)
-        s.add_argument("--k", type=int, required=True)
-        s.add_argument("--n", default=None, help="length or range, e.g. 5..6")
-        s.add_argument("--target", choices=["qm", "mws"], default="mws")
-        s.add_argument("--mode", choices=["random", "exhaustive"], default="random")
-        s.add_argument("--trials", type=int, default=10_000)
-        s.add_argument("--seed", type=int, default=None)
-        s.add_argument("--workers", type=int, default=1,
-                       help="worker processes for random and exhaustive search, started only for "
-                            "a space of more than one full enumeration batch; --gv runs serially")
-        s.add_argument("--gv", action="store_true",
-                       help="QM search at the GV-type length ceil(k*lambda_q)")
-        s.add_argument("--witness-out", default=None)
-        s.set_defaults(func=cmd_search)
-
-    if command in (None, "montecarlo"):
-        m = sub.add_parser("montecarlo", help="estimate the expected collision statistic")
-        m.add_argument("--q", type=int, required=True)
-        m.add_argument("--k", type=int, required=True)
-        m.add_argument("--n", type=int, required=True)
-        m.add_argument("--samples", type=int, default=20_000)
-        m.add_argument("--seed", type=int, default=None)
-        m.add_argument("--workers", type=int, default=1,
-                       help="worker processes, started only for more than one full "
-                            "enumeration batch of samples")
-        m.set_defaults(func=cmd_montecarlo)
-
-    if command in (None, "bounds"):
-        b = sub.add_parser("bounds", help="bound tables over a (q, k) grid")
-        b.add_argument("--q", required=True, help="e.g. 3 or 3,4,5 or 2..9")
-        b.add_argument("--k", required=True, help="e.g. 2 or 1..6")
-        b.add_argument("--format", choices=["csv", "json"], default="json")
-        b.set_defaults(func=cmd_bounds)
-
-    if command in (None, "field-info"):
-        f = sub.add_parser("field-info", help="describe GF(q)")
-        f.add_argument("--q", type=int, required=True)
-        f.set_defaults(func=cmd_field_info)
-
+    for name, (help_text, arguments) in _ARGUMENTS.items():
+        if command in (None, name):
+            parser = sub.add_parser(name, help=help_text)
+            for option, kwargs in arguments:
+                parser.add_argument(option, **kwargs)
+            parser.set_defaults(func=_command_function(name))
     return p
+
+
+def _parse_direct(argv) -> argparse.Namespace | None:
+    """The namespace build_parser() would parse argv into, found from
+    _ARGUMENTS without building a parser, or None where argparse must parse.
+
+    Only the plain form is taken: a command first, then exact option strings
+    (no abbreviations, no --opt=value), each at most once, each value
+    non-empty and not starting with "-", and positionals in order.  A value
+    its type refuses, or one outside its choices, and a missing required
+    argument also give None, so argparse prints every help, usage and error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    specs = [(option, kwargs.get("dest", option.lstrip("-").replace("-", "_")), kwargs)
+             for option, kwargs in _ARGUMENTS[command][1]]
+    options = {spec[0]: spec for spec in specs if spec[0].startswith("-")}
+    positionals = [spec for spec in specs if not spec[0].startswith("-")]
+    values = {}
+    for token in tokens:
+        if token in options:
+            _, dest, kwargs = options[token]
+            value = True if kwargs.get("action") == "store_true" else next(tokens, "")
+        elif positionals:
+            (_, dest, kwargs), value = positionals.pop(0), token
+        else:
+            return None
+        if value is not True and value[:1] in ("", "-") or dest in values:
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if positionals or any(kwargs.get("required") and dest not in values
+                          for _, dest, kwargs in specs):
+        return None
+    args = argparse.Namespace(command=command)
+    for _, dest, kwargs in specs:
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, dest, values.get(dest, default))
+    args.func = _command_function(command)
+    return args
 
 
 def main(argv=None) -> int:
     if argv is None:  # the console script passes none
         argv = sys.argv[1:]
-    # Only a command as the first argument gets the lean parser; help, no
-    # arguments and an unknown command need the full one.
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parse_direct(argv)
+    if args is None:  # help, usage and errors come from argparse
+        # Only a command as the first argument gets the lean parser; help, no
+        # arguments and an unknown command need the full one.
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         status = _run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -30,33 +30,67 @@ class NotPrimePowerError(ValueError):
 
 
 class FieldTooLargeError(RuntimeError):
-    """Raised when GF(q) needs arithmetic tables above MAX_TABLE_ORDER."""
+    """Raised when GF(q) needs arithmetic tables above MAX_TABLE_ORDER, or
+    q is too large to decompose exactly (MAX_DECOMPOSED_ORDER)."""
+
+
+# A Miller-Rabin test with the first 13 primes as bases is exact below this
+# bound (Sorenson & Webster, Strong pseudoprimes to twelve prime bases, Math.
+# Comp. 2017); field_parameters refuses larger orders with FieldTooLargeError.
+MAX_DECOMPOSED_ORDER = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 1 <= n < MAX_DECOMPOSED_ORDER."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_power_decomposition(q: int) -> tuple[int, int]:
-    """Return (p, m) with q = p^m, p prime, or raise NotPrimePowerError."""
+    """Return (p, m) with q = p^m, p prime, or raise NotPrimePowerError:
+    the integer m-th roots of q for m = floor(log2 q) .. 1, each tested for
+    primality, so no q is factored."""
     if q < 2:
         raise NotPrimePowerError(f"field order must be >= 2, got {q}")
-    p, n, m = _prime_factors(q, most=1)[0], q, 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:  # a second prime factor, left unsearched
-        raise NotPrimePowerError(f"{q} is not a prime power")
-    return p, m
+    if q >= MAX_DECOMPOSED_ORDER:
+        raise FieldTooLargeError(
+            f"GF({q}) is at or above the exact decomposition limit {MAX_DECOMPOSED_ORDER}")
+    for m in range(q.bit_length() - 1, 0, -1):
+        p = round(q ** (1 / m)) if m > 1 else q  # rounds to the root: p < 2^41
+        if p**m == q and _is_prime(p):
+            return p, m
+    raise NotPrimePowerError(f"{q} is not a prime power")
 
 
-def _prime_factors(n: int, most: int | None = None) -> list[int]:
+def _prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1 in increasing order, by trial
-    division; with most, only the first `most` of them."""
+    division (for the group orders q - 1 <= MAX_TABLE_ORDER)."""
     factors, d = [], 2
-    while d * d <= n and len(factors) != most:
+    while d * d <= n:
         if n % d == 0:
             factors.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    return factors + ([n] if n > 1 and len(factors) != most else [])
+    return factors + ([n] if n > 1 else [])
 
 
 # -- polynomial helpers over GF(p), coefficients little-endian ----------------
@@ -270,7 +304,8 @@ def describe_field(p: int, m: int, modulus: tuple[int, ...]) -> dict:
 
 def field_parameters(q: int) -> tuple[int, int, tuple[int, ...]]:
     """(p, m, modulus) of GF(q), found without building any tables; raises
-    NotPrimePowerError if q is not a prime power."""
+    NotPrimePowerError if q is not a prime power and FieldTooLargeError if
+    q >= MAX_DECOMPOSED_ORDER."""
     p, m = _prime_power_decomposition(q)
     return p, m, _smallest_irreducible(p, m)
 

@@ -452,7 +452,10 @@ def gv_qm_search(q: int, k: int, trials: int = 10_000, seed: int = 0) -> dict:
     distance which check accepts it.  Not finding a witness within the
     trial budget is an outcome, not an error.
     """
-    n = math.ceil(k * lambda_q(q))
+    # lambda_q >= 1, so n >= k: a k with k * k above the candidate guard is
+    # checked at n = k, where SearchConfig refuses it after q and the other
+    # parameters, and before the float k * lambda_q could overflow.
+    n = k if k * k > MAX_CANDIDATE_ENTRIES else math.ceil(k * lambda_q(q))
     config = SearchConfig(q, k, n, n, target="qm", trials=trials, seed=seed)
     t0 = time.monotonic()
     entry, hit = _search_length(config, n)

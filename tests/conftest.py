@@ -2,7 +2,7 @@
 
 import pytest
 
-from mwscodes import codes, gf
+from mwscodes import bounds, codes, gf
 
 
 @pytest.fixture
@@ -22,10 +22,11 @@ def block_rows(monkeypatch):
 
 @pytest.fixture
 def no_factoring(monkeypatch):
-    """Make factoring a field order by trial division fail the test, for
-    inputs that a guard must refuse before they are factored."""
+    """Make decomposing a field order as p^m fail the test, for inputs that a
+    guard must refuse before q is decomposed."""
 
-    def factored(*args, **kwargs):
-        pytest.fail("q was factored")
+    def decomposed(*args, **kwargs):
+        pytest.fail("q was decomposed")
 
-    monkeypatch.setattr(gf, "_prime_factors", factored)
+    for module in (gf, bounds):  # bounds imports the name
+        monkeypatch.setattr(module, "_prime_power_decomposition", decomposed)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mwscodes.bounds as bounds_mod
+import mwscodes.search as search_mod
 from mwscodes import is_mws, load_code, loads_code
 from mwscodes import cli, gf
 from mwscodes.cli import main
@@ -457,6 +458,39 @@ def test_bounds_refuses_powers_above_the_bit_limit(capsys, q, k):
     assert payload["error"] == "PowerTooLargeError"
 
 
+HUGE_K = "1" + "0" * 400  # 10^400: k * lambda_q is no float
+
+
+# k = 20000 used to exit 2: its exact exponent had too many digits to print
+@pytest.mark.parametrize("k", ["20000", "100000000", HUGE_K])
+def test_bounds_refuses_a_huge_k_before_lambda_q_or_q_to_the_k(capsys, monkeypatch, k):
+    def reached(*args):
+        pytest.fail("lambda_q was computed")
+
+    monkeypatch.setattr(bounds_mod, "lambda_q", reached)
+    status, payload = run(capsys, "bounds", "--q", "3", "--k", k)
+    assert status == cli.EXIT_GUARD == 3
+    assert payload["error"] == "PowerTooLargeError"
+    assert "e >= q^(k-1) > MAX_POWER_BITS" in payload["detail"]
+
+
+@pytest.mark.parametrize("q, status, error", [
+    ("3", 3, "SearchSpaceTooLargeError"),
+    ("6", 2, "NotPrimePowerError"),  # a bad q is still reported first
+    ("70000", 3, "FieldTooLargeError"),
+])
+def test_gv_search_refuses_a_huge_k_before_lambda_q(capsys, monkeypatch, q, status, error):
+    def reached(*args):
+        pytest.fail("lambda_q was computed")
+
+    monkeypatch.setattr(search_mod, "lambda_q", reached)
+    result = run(capsys, "search", "--gv", "--q", q, "--k", HUGE_K, "--seed", "0")
+    assert result[0] == status
+    assert result[1]["error"] == error
+    if q == "70000":
+        assert result[1]["detail"] == "GF(70000) exceeds the arithmetic table limit 65536"
+
+
 def test_bounds_csv(capsys):
     status = main(["bounds", "--q", "2", "--k", "2..3", "--format", "csv"])
     out = capsys.readouterr().out
@@ -574,6 +608,30 @@ def test_field_info_for_a_prime_above_the_table_limit(capsys):
     assert status == 0
     assert payload == {"name": f"GF({big})", "characteristic": big, "degree": 1,
                        "modulus": [0, 1]}
+
+
+@pytest.fixture
+def no_trial_division(monkeypatch):
+    def divided(*args, **kwargs):
+        pytest.fail("q was factored by trial division")
+
+    monkeypatch.setattr(gf, "_prime_factors", divided)
+
+
+def test_field_info_for_a_19_digit_prime_needs_no_trial_division(capsys, no_trial_division):
+    # trial division would take about 10^9 steps
+    status, payload = run(capsys, "field-info", "--q", str(HUGE_PRIME))
+    assert status == 0
+    assert payload == {"name": f"GF({HUGE_PRIME})", "characteristic": HUGE_PRIME,
+                       "degree": 1, "modulus": [0, 1]}
+
+
+@pytest.mark.parametrize("q", [gf.MAX_DECOMPOSED_ORDER, 10**30, 2**100])
+def test_field_info_refuses_an_order_it_cannot_decompose_exactly(capsys, no_trial_division, q):
+    status, payload = run(capsys, "field-info", "--q", str(q))
+    assert status == cli.EXIT_GUARD == 3
+    assert payload["error"] == "FieldTooLargeError"
+    assert "decomposition limit" in payload["detail"]
 
 
 def test_verify_over_a_field_above_the_table_limit_trips_the_guard(capsys, tmp_path):

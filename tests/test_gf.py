@@ -200,6 +200,48 @@ def test_prime_factors():
     assert gf._prime_factors(65521) == [65521]
 
 
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-2, 5000) if gf._is_prime(n)] == [
+        n for n in range(2, 5000) if gf._prime_factors(n) == [n]]
+
+
+@pytest.mark.parametrize("q, expected", [
+    (999999999999999989, (999999999999999989, 1)),
+    ((10**9 + 7) ** 2, (10**9 + 7, 2)),
+    (2**81, (2, 81)),
+    (3**50, (3, 50)),
+    (1000000007 * 1000000009, None),
+    (3215031751, None),  # strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, None),  # to the bases 2 .. 23
+    (318665857834031151167461, None),  # to the bases 2 .. 37, the first 12 primes
+])
+def test_prime_power_decomposition_of_large_orders(q, expected, monkeypatch):
+    monkeypatch.setattr(gf, "_prime_factors", lambda *a: pytest.fail("trial division"))
+    if expected is None:
+        with pytest.raises(NotPrimePowerError, match="is not a prime power"):
+            gf._prime_power_decomposition(q)
+    else:
+        assert gf._prime_power_decomposition(q) == expected
+
+
+def test_prime_power_decomposition_matches_trial_division():
+    for q in range(2, 20_000):
+        factors = gf._prime_factors(q)
+        if len(factors) == 1:
+            p = factors[0]
+            assert gf._prime_power_decomposition(q) == (p, round(math.log(q, p)))
+        else:
+            with pytest.raises(NotPrimePowerError):
+                gf._prime_power_decomposition(q)
+
+
+def test_prime_power_decomposition_refuses_orders_it_cannot_test_exactly():
+    # 3317044064679887385961981 is itself a strong pseudoprime to the first 13 primes
+    for q in (gf.MAX_DECOMPOSED_ORDER, 2**82, 10**400):
+        with pytest.raises(FieldTooLargeError, match="decomposition limit"):
+            field_parameters(q)
+
+
 def test_array_helpers():
     f = build_field(9)
     a, b = np.meshgrid(np.arange(9), np.arange(9))

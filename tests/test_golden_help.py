@@ -1,6 +1,9 @@
-"""Golden help, usage and argparse error output, and the lean parser.
+"""Golden help, usage and argparse error output, the lean parser and the
+direct parse.
 
-`cli.main` builds only the invoked subcommand's parser.  The fixture
+`cli.main` parses a well-formed argv from the argument table alone
+(`cli._parse_direct`), and otherwise builds only the invoked subcommand's
+parser, which prints help, usage and errors.  The fixture
 `golden_help.json` holds, for every case, the argv and what `cli.main` wrote
 to stdout and stderr, with its exit status, at an 80-column terminal, as the
 parser that always builds all six subcommands printed it.  argparse's layout
@@ -23,6 +26,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwscodes import cli
 
@@ -130,8 +134,120 @@ def added(monkeypatch):
 
 
 def test_main_adds_only_the_invoked_subparser(added, capsys):
+    # a well-formed argv needs none; an error needs the invoked one
     assert cli.main(["field-info", "--q", "9"]) == 0
-    assert added == ["field-info"]
+    assert added == []
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--bogus"])
+    assert added == ["verify"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["field-info", "--q", "9"],
+    ["bounds", "--q", "2..3", "--k", "1,2", "--format", "csv"],
+    ["construct", "--verify-qm", "simplex", "--q", "2", "--k", "3"],
+])
+def test_a_well_formed_argv_constructs_no_argument_parser(argv, monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        pytest.fail("an ArgumentParser was constructed")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refused)
+    assert cli.main(argv) == 0
+
+
+# -- the direct parse against argparse ------------------------------------------
+
+def _direct_matches_argparse(argv: list[str]) -> bool:
+    """Check that _parse_direct(argv) is None or argparse's namespace, and
+    None whenever argparse exits; return whether argparse parsed argv."""
+    direct = cli._parse_direct(argv)
+    parsed, status, out, err = _parsed(cli.build_parser(), argv)
+    if parsed is None:
+        assert direct is None, (status, err)
+    elif direct is not None:
+        assert vars(direct) == parsed
+    return parsed is not None
+
+
+@pytest.mark.parametrize("argv", [g["argv"] for g in json.loads(GOLDEN_CLI.read_text())],
+                         ids=" ".join)
+def test_direct_parse_takes_every_golden_argv(argv):
+    direct = cli._parse_direct(argv)
+    assert direct is not None
+    assert vars(direct) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("workload", ["verify", "search", "bounds", "largefield"])
+def test_direct_parse_takes_every_benchmark_op(workload, tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    ops = gen.make_ops(workload, 1, tmp_path)
+    assert ops
+    for op in ops:
+        direct = cli._parse_direct(op.argv)
+        assert direct is not None, op.argv
+        assert vars(direct) == vars(cli.build_parser().parse_args(op.argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "3", "--k", "2", "--n", "5", "--seed", "-5"],  # a negative number
+    ["search", "--q", "3", "--k", "2", "--n", "5", "--q", "4"],  # a duplicate
+    ["search", "--q", "3", "--k", "2", "--n", "5", "--see", "1"],  # an abbreviation
+    ["bounds", "--q=3", "--k", "2"],
+    ["bounds", "--q", "", "--k", "2"],
+    ["verify", "--in", "x", "-h"],
+    ["construct", "simplex", "--q", "3", "--verify-qm", "--verify-qm"],
+    ["bounds", "--q", "3", "--k", "2", "--format", "xml"],  # not a choice
+    ["construct", "bogus", "--q", "3"],
+    ["search", "--q", "x", "--k", "2"],  # not an int
+    ["search", "--q", "3"],  # --k missing
+    ["construct", "--q", "3"],  # the kind missing
+    ["verify", "--in", "x", "extra"],
+    ["verify", "--in"],
+])
+def test_direct_parse_leaves_other_forms_to_argparse(argv):
+    assert cli._parse_direct(argv) is None
+    _direct_matches_argparse(argv)
+
+
+_OPTIONS = sorted({option for _, arguments in cli._ARGUMENTS.values()
+                   for option, _ in arguments if option.startswith("-")})
+_TOKENS = [
+    *_OPTIONS, *(option[:cut] for option in _OPTIONS for cut in (3, 4, 6) if cut < len(option)),
+    "--q=3", "--k=2", "--format=csv", "--mode=exhaustive", "--in=x",
+    "-5", "-1", "", "-h", "--help", "--", "--bogus",
+    "0", "2", "3", "9", "5..6", "1,2", "x", "qm", "mws", "csv", "json", "random",
+    "exhaustive", "simplex", "identity", "embed", "repetition",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command=st.sampled_from([*COMMANDS, "verif"]), data=st.data())
+def test_direct_parse_is_none_or_argparse_namespace(command, data):
+    # the command's own options are drawn about as often as every other token
+    own = [option for option, _ in cli._ARGUMENTS.get(command, ("", ()))[1]]
+    pool = st.one_of(st.sampled_from(_TOKENS), st.sampled_from(own or _TOKENS))
+    _direct_matches_argparse([command, *data.draw(st.lists(pool, max_size=10))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(COMMANDS), data=st.data())
+def test_direct_parse_of_drawn_well_formed_argvs(command, data):
+    # every argument of the command in a drawn order, each with a drawn value:
+    # the direct parse takes the argv whenever argparse does
+    argv = [command]
+    for option, kwargs in data.draw(st.permutations(cli._ARGUMENTS[command][1])):
+        if kwargs.get("action") == "store_true":
+            if data.draw(st.booleans()):
+                argv.append(option)
+            continue
+        value = data.draw(st.sampled_from(kwargs.get("choices", ["3", "12", "5..6", "x"])))
+        argv += [value] if not option.startswith("-") else [option, value]
+    if _direct_matches_argparse(argv):
+        assert cli._parse_direct(argv) is not None
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h", "verify"], ["verif"]])
