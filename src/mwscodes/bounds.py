@@ -27,6 +27,10 @@ from .gf import _prime_power_decomposition
 # k q^3 ln q (gv_qm_length) and like q^(k-1) (the simplex length).
 MAX_POWER_BITS = 2**20
 
+# bounds_table's threshold scans stop here (None): thresholds grow like
+# q^{4k+2}, and (9, 4) lies near n = 9e10, beyond any scan of n.
+EQBOUND_CAP = 2000
+
 
 class PowerTooLargeError(RuntimeError):
     """Raised when a bounds cell needs 2^e with e above MAX_POWER_BITS."""
@@ -54,7 +58,8 @@ def entropy_q(q: int, x: float) -> float:
 def lambda_q(q: int) -> float:
     """GV-type length factor (1 - h_q((q-2)/(q-1)))^{-1}.
 
-    Grows like 2 q^3 ln q; equals 1 at q = 2.
+    Grows like 2 q^3 ln q, so the working precision grows with the digits of
+    q; equals 1 at q = 2 and overflows to inf above about q = 10^102.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -62,7 +67,7 @@ def lambda_q(q: int) -> float:
         return 1.0
     import mpmath  # imported here: only bounds and the GV search need it
 
-    with mpmath.workdps(60):
+    with mpmath.workdps(60 + q.bit_length()):
         x = mpmath.mpf(q - 2) / (q - 1)
         lq = mpmath.log(q)
         h = (-x * mpmath.log(x) - (1 - x) * mpmath.log(1 - x) + x * mpmath.log(q - 1)) / lq
@@ -260,20 +265,19 @@ class BoundsReport:
         return d
 
 
-def bounds_table(qs: Sequence[int], ks: Sequence[int],
-                 eqbound_cap: int = 2000) -> list[BoundsReport]:
+def bounds_table(qs: Sequence[int], ks: Sequence[int]) -> list[BoundsReport]:
     """Assemble every bound for each (q, k) cell, q outer and k inner.
 
     Every cell's k and power limit are checked, in that order, before any
     threshold is scanned: k < 1 raises ValueError, and a cell whose embedded
     lengths 2^e have e > MAX_POWER_BITS raises PowerTooLargeError, before
-    q^k or lambda_q is computed when q^(k-1) alone exceeds the limit.  A q is
-    factored (NotPrimePowerError) only once its first cell passes.  lambda_q,
-    mu_q and the eqbound_min_n thresholds are computed once per q, the
-    thresholds of all ks by one scan capped at eqbound_cap.  The cap stays
-    because thresholds grow like q^{4k+2}: (9, 4) lies near n = 9e10, beyond
-    any scan of n, and such cells report None.  The D_q figure is an
-    asymptotic estimate only and never feeds a comparison.
+    q^k or lambda_q is computed when q^(k-1) alone exceeds the limit, and
+    before the ceiling of k * lambda_q when that product alone exceeds it (or
+    is inf, for a q above about 10^102).  A q is factored (NotPrimePowerError)
+    only once its first cell passes.  lambda_q, mu_q and the eqbound_min_n
+    thresholds are computed once per q, the thresholds of all ks by one scan
+    capped at EQBOUND_CAP; cells past the cap report None.  The D_q figure is
+    an asymptotic estimate only and never feeds a comparison.
     """
     factors: dict[int, tuple[float, float]] = {}
     cells = []
@@ -290,18 +294,18 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int],
                     f"(q, k) = ({q}, {k}) needs 2^e with e >= q^(k-1) > MAX_POWER_BITS "
                     f"= {MAX_POWER_BITS}; such exponents are refused")
             lam, mu = factors[q] if q in factors else (lambda_q(q), mu_q(q))
-            gv_len = math.ceil(k * lam)
             simplex_len = (q**k - 1) // (q - 1)
-            exponent = max(gv_len, simplex_len - 1)
-            if exponent > MAX_POWER_BITS:
+            if max(k * lam, simplex_len - 1) > MAX_POWER_BITS:  # before ceil(inf)
                 raise PowerTooLargeError(
-                    f"(q, k) = ({q}, {k}) needs 2^{exponent}; exponents above "
-                    f"MAX_POWER_BITS = {MAX_POWER_BITS} are refused")
+                    f"(q, k) = ({q}, {k}) needs 2^e with e >= k * lambda_q = {k * lam:.4g} "
+                    f"and e >= {simplex_len - 1}; exponents above MAX_POWER_BITS = "
+                    f"{MAX_POWER_BITS} are refused")
+            gv_len = math.ceil(k * lam)
             if q not in factors:
                 _prime_power_decomposition(q)
                 factors[q] = lam, mu
             cells.append((q, k, gv_len, simplex_len))
-    thresholds = {q: _eqbound_scan(q, ks, eqbound_cap) for q in factors}
+    thresholds = {q: _eqbound_scan(q, ks, EQBOUND_CAP) for q in factors}
     reports = []
     for q, k, gv_len, simplex_len in cells:
         lam, mu = factors[q]
@@ -327,10 +331,10 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int],
     return reports
 
 
-def bounds_report(q: int, k: int, eqbound_cap: int = 2000) -> BoundsReport:
+def bounds_report(q: int, k: int) -> BoundsReport:
     """Assemble every bound for one (q, k) cell: bounds_table([q], [k]).
 
     See bounds_table for the checks made before anything is computed in
     full, and for the cap on the threshold scan.
     """
-    return bounds_table([q], [k], eqbound_cap)[0]
+    return bounds_table([q], [k])[0]

@@ -240,8 +240,6 @@ def cmd_field_info(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
-COMMANDS = ("construct", "verify", "search", "montecarlo", "bounds", "field-info")
-
 # Each command's help and its arguments in add_argument order: the option
 # string, or a positional's name, and add_argument's keyword arguments.
 # build_parser adds them to argparse; _parse_direct parses from them alone.
@@ -306,24 +304,14 @@ def _command_function(command: str):
     return globals()["cmd_" + command.replace("-", "_")]
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser: with a command, only that subcommand's parser is
-    built, and a run of that command parses exactly as with all six."""
-    if command not in (None, *COMMANDS):
-        raise ValueError(f"unknown command {command!r}")
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, with all six subcommands."""
     p = argparse.ArgumentParser(prog="mwscodes", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    if command is not None:
-        # The usage line of top-level errors lists every command, as the full
-        # parser's does.  Set without a command, the metavar would replace
-        # "command" in argparse's invalid-choice and required-argument errors.
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
     for name, (help_text, arguments) in _ARGUMENTS.items():
-        if command in (None, name):
-            parser = sub.add_parser(name, help=help_text)
-            for option, kwargs in arguments:
-                parser.add_argument(option, **kwargs)
-            parser.set_defaults(func=_command_function(name))
+        parser = sub.add_parser(name, help=help_text)
+        for option, kwargs in arguments:
+            parser.add_argument(option, **kwargs)
     return p
 
 
@@ -337,7 +325,7 @@ def _parse_direct(argv) -> argparse.Namespace | None:
     its type refuses, or one outside its choices, and a missing required
     argument also give None, so argparse prints every help, usage and error.
     """
-    if not argv or argv[0] not in COMMANDS:
+    if not argv or argv[0] not in _ARGUMENTS:
         return None
     command, tokens = argv[0], iter(argv[1:])
     specs = [(option, kwargs.get("dest", option.lstrip("-").replace("-", "_")), kwargs)
@@ -370,7 +358,6 @@ def _parse_direct(argv) -> argparse.Namespace | None:
     for _, dest, kwargs in specs:
         default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
         setattr(args, dest, values.get(dest, default))
-    args.func = _command_function(command)
     return args
 
 
@@ -379,10 +366,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parse_direct(argv)
     if args is None:  # help, usage and errors come from argparse
-        # Only a command as the first argument gets the lean parser; help, no
-        # arguments and an unknown command need the full one.
-        command = argv[0] if argv and argv[0] in COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         status = _run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -401,7 +385,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        return args.func(args)
+        return _command_function(args.command)(args)
     except BrokenPipeError:
         raise  # for main: the handlers below would write to the closed stdout
     except (NotPrimePowerError, ValueError, FileNotFoundError,

@@ -381,9 +381,8 @@ def test_embedded_length_log_ratio_inside_bracket():
 
 
 def test_bounds_table_is_bounds_report_per_cell():
-    cells = bounds_table([3, 2, 3], [2, 1, 2], eqbound_cap=60)
-    assert cells == [bounds_report(q, k, eqbound_cap=60)
-                     for q in (3, 2, 3) for k in (2, 1, 2)]
+    cells = bounds_table([3, 2, 3], [2, 1, 2])
+    assert cells == [bounds_report(q, k) for q in (3, 2, 3) for k in (2, 1, 2)]
 
 
 # the first cell to fail, in table order, raises
@@ -422,7 +421,7 @@ def test_bounds_table_factors_q_only_after_its_power_bound(no_factoring):
 def test_bounds_report_keeps_the_largest_cell_below_the_bit_limit():
     # (2, 20): the simplex embedding has length 2^(2^20 - 2), the largest
     # power with q = 2 under MAX_POWER_BITS = 2^20; (2, 21) needs 2^(2^21 - 2)
-    cell = bounds_report(2, 20, eqbound_cap=20)
+    cell = bounds_report(2, 20)
     assert MAX_POWER_BITS == 2**20
     assert cell.embedded_length_simplex == 2 ** (2**20 - 2)
     assert cell.embedded_length_gv == 2**cell.gv_qm_length == 2**20

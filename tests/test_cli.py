@@ -692,6 +692,11 @@ HUGE_PRIME = 999999999999999989  # trial division would take about 10^9 steps
     (["montecarlo", "--q", str(HUGE_PRIME), "--k", "2", "--n", "5", "--samples", "2",
       "--seed", "0"], "FieldTooLargeError"),
     (["bounds", "--q", str(HUGE_PRIME), "--k", "1"], "PowerTooLargeError"),
+    # lambda_q at a fixed 60 digits rounded 1 - h_q to 0 for these: 2^100
+    # exited 4 (ZeroDivisionError) and 2^400 exited 2 (NaN); past about
+    # 10^102 k * lambda_q is inf
+    *[(["bounds", "--q", str(q), "--k", "1"], "PowerTooLargeError")
+      for q in (2**100, 2**400, 10**200)],
 ])
 def test_a_huge_q_trips_a_guard_without_being_factored(capsys, no_factoring, tmp_path,
                                                        argv, error):

@@ -1,15 +1,14 @@
-"""Golden help, usage and argparse error output, the lean parser and the
-direct parse.
+"""Golden help, usage and argparse error output, and the direct parse.
 
 `cli.main` parses a well-formed argv from the argument table alone
-(`cli._parse_direct`), and otherwise builds only the invoked subcommand's
-parser, which prints help, usage and errors.  The fixture
+(`cli._parse_direct`, the lean parse: it builds no parser), and otherwise
+hands it to the one argparse parser, `cli.build_parser()`, with all six
+subcommands, which prints help, usage and errors.  The fixture
 `golden_help.json` holds, for every case, the argv and what `cli.main` wrote
-to stdout and stderr, with its exit status, at an 80-column terminal, as the
-parser that always builds all six subcommands printed it.  argparse's layout
-differs between Python versions, so the fixture records the version it was
-made with and is compared only on that version; the differential tests below
-hold on every version.  Regenerate the fixture with
+to stdout and stderr, with its exit status, at an 80-column terminal.
+argparse's layout differs between Python versions, so the fixture records the
+version it was made with and is compared only on that version; the
+differential tests below hold on every version.  Regenerate the fixture with
 
     PYTHONPATH=src python tests/test_golden_help.py
 """
@@ -103,8 +102,10 @@ def _command_argvs() -> list[list[str]]:
 
 @pytest.mark.parametrize("argv", _command_argvs(), ids=" ".join)
 def test_lean_parser_parses_as_the_full_one(argv, columns_80):
-    lean = _parsed(cli.build_parser(argv[0]), argv)
-    assert lean == _parsed(cli.build_parser(), argv)
+    # the lean parse is the direct one: it declines every help, usage and
+    # error case and gives argparse's namespace for every golden argv
+    taken = cli._parse_direct(argv) is not None
+    assert _direct_matches_argparse(argv) == taken == (argv not in cases())
 
 
 def test_full_parser_holds_every_command():
@@ -112,11 +113,6 @@ def test_full_parser_holds_every_command():
                if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == COMMANDS
     assert sub.metavar is None  # argparse names the action "command" in errors
-
-
-def test_build_parser_refuses_an_unknown_command():
-    with pytest.raises(ValueError, match="unknown command"):
-        cli.build_parser("verif")
 
 
 @pytest.fixture
@@ -133,13 +129,24 @@ def added(monkeypatch):
     return names
 
 
-def test_main_adds_only_the_invoked_subparser(added, capsys):
-    # a well-formed argv needs none; an error needs the invoked one
+def test_main_adds_subparsers_only_for_argparse(added, capsys):
+    # a well-formed argv needs none; an error needs the one parser, with all six
     assert cli.main(["field-info", "--q", "9"]) == 0
     assert added == []
     with pytest.raises(SystemExit):
         cli.main(["verify", "--bogus"])
-    assert added == ["verify"]
+    assert added == COMMANDS
+
+
+def test_main_runs_the_module_command_function_on_both_parse_paths(monkeypatch, capsys):
+    # a caller that rebinds cmd_* (as a tracer does) gets its function run,
+    # whether the direct parse or argparse parsed the argv
+    calls = []
+    monkeypatch.setattr(cli, "cmd_field_info", lambda args: calls.append(args.q) or 0)
+    assert cli._parse_direct(["field-info", "--q=9"]) is None
+    assert cli.main(["field-info", "--q", "9"]) == 0
+    assert cli.main(["field-info", "--q=9"]) == 0
+    assert calls == [9, 9]
 
 
 @pytest.mark.parametrize("argv", [
