@@ -59,12 +59,15 @@ def lambda_q(q: int) -> float:
     """GV-type length factor (1 - h_q((q-2)/(q-1)))^{-1}.
 
     Grows like 2 q^3 ln q, so the working precision grows with the digits of
-    q; equals 1 at q = 2 and overflows to inf above about q = 10^102.
+    q; equals 1 at q = 2.  The float overflows from q = 2^339 (about 10^102)
+    on, lambda_q(2^338) being 8.2e307, so such a q returns inf at once.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     if q == 2:
         return 1.0
+    if q >= 2**339:
+        return math.inf
     import mpmath  # imported here: only bounds and the GV search need it
 
     with mpmath.workdps(60 + q.bit_length()):
@@ -273,11 +276,12 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int]) -> list[BoundsReport]:
     lengths 2^e have e > MAX_POWER_BITS raises PowerTooLargeError, before
     q^k or lambda_q is computed when q^(k-1) alone exceeds the limit, and
     before the ceiling of k * lambda_q when that product alone exceeds it (or
-    is inf, for a q above about 10^102).  A q is factored (NotPrimePowerError)
-    only once its first cell passes.  lambda_q, mu_q and the eqbound_min_n
-    thresholds are computed once per q, the thresholds of all ks by one scan
-    capped at EQBOUND_CAP; cells past the cap report None.  The D_q figure is
-    an asymptotic estimate only and never feeds a comparison.
+    is inf, for a q of 2^339 or more).  A q is factored (NotPrimePowerError),
+    and mu_q computed, only once its first cell passes.  lambda_q, mu_q and
+    the eqbound_min_n thresholds are computed once per q, the thresholds of
+    all ks by one scan capped at EQBOUND_CAP; cells past the cap report
+    None.  The D_q figure is an asymptotic estimate only and never feeds a
+    comparison.
     """
     factors: dict[int, tuple[float, float]] = {}
     cells = []
@@ -293,7 +297,7 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int]) -> list[BoundsReport]:
                 raise PowerTooLargeError(
                     f"(q, k) = ({q}, {k}) needs 2^e with e >= q^(k-1) > MAX_POWER_BITS "
                     f"= {MAX_POWER_BITS}; such exponents are refused")
-            lam, mu = factors[q] if q in factors else (lambda_q(q), mu_q(q))
+            lam = factors[q][0] if q in factors else lambda_q(q)
             simplex_len = (q**k - 1) // (q - 1)
             if max(k * lam, simplex_len - 1) > MAX_POWER_BITS:  # before ceil(inf)
                 raise PowerTooLargeError(
@@ -303,7 +307,7 @@ def bounds_table(qs: Sequence[int], ks: Sequence[int]) -> list[BoundsReport]:
             gv_len = math.ceil(k * lam)
             if q not in factors:
                 _prime_power_decomposition(q)
-                factors[q] = lam, mu
+                factors[q] = lam, mu_q(q)
             cells.append((q, k, gv_len, simplex_len))
     thresholds = {q: _eqbound_scan(q, ks, EQBOUND_CAP) for q in factors}
     reports = []

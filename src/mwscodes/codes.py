@@ -32,12 +32,16 @@ multiplicities, short k >= 3 codes and QM for k >= 4.  With rows
 g_0..g_{k-1}, the words whose message starts at coordinate i are
 g_i + span(g_{i+1..k-1}), and each span is the next one plus c g_j for every
 c in GF(q): words are built by adding rows, never by multiplying messages.
-Addition is XOR on the elements for p = 2, mod p on the elements for prime
-q, and mod p on base-p digits otherwise.  Words come in blocks of at most
-BLOCK_ROWS rows (codeword_matrix): a larger code reuses the span of its last
-rows for every prefix of the leading ones.  A block holds rows x n entries
-(x m digits when added digit by digit), one byte each while two of them sum
-below 256, plus the mask, weights and support keys made from it.
+A binary word is a uint64 bit set, 64 columns to a limb (_bit_sets): XOR
+adds it, its popcount is its weight and it is its own support key.  Other
+words are added by XOR on the elements for p = 2, mod p on the elements for
+prime q, and mod p on base-p digits otherwise.  Words come in blocks of at
+most BLOCK_ROWS rows (codeword_matrix, which unpacks binary words unless
+asked not to): a larger code reuses the span of its last rows for every
+prefix of the leading ones.  A binary block holds rows x ceil(n / 64) limbs;
+any other rows x n entries (x m digits when added digit by digit), one byte
+each while two of them sum below 256, plus the mask, weights and support
+keys made from it.
 
 Both passes take a stack of B generators, shape (k, B, n): a single code is
 a stack of one (_enumerate), and searches stack their candidates B at a
@@ -207,9 +211,35 @@ def _digit_form(fld: GF) -> bool:
     return fld.p > 2 and fld.m > 1
 
 
+def _packed(fld: GF) -> bool:
+    """Binary words are held as uint64 bit sets (_bit_sets), whose XOR adds
+    them and whose popcount is their weight."""
+    return fld.q == 2
+
+
+def _bit_sets(mask: np.ndarray) -> np.ndarray:
+    """The rows of a mask along its last axis as uint64 bit sets, 64 columns
+    to a limb: column j is bit j % 8 of byte j // 8 (np.packbits' little
+    bit order), and the limbs are zero past the last column."""
+    *lead, n = mask.shape
+    bits = np.zeros((*lead, -(-n // 64) * 64), dtype=bool)
+    bits[..., :n] = mask
+    # packed flat, so that numpy takes no per-row step
+    return np.packbits(bits, bitorder="little").view(np.uint64).reshape(*lead, -1)
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Bit sets (_bit_sets) back to their n columns of 0s and 1s, as uint8."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    return bits.reshape(*words.shape[:-1], -1)[..., :n]
+
+
 def _lift(fld: GF, elements) -> np.ndarray:
-    """Elements in the form words are added in (see _digit_form), in the
+    """Elements in the form words are added in: uint64 bit sets for q = 2
+    (_packed), digits for _digit_form, else the elements themselves, in the
     smallest dtype that holds the sum of two entries: uint8 only below 128."""
+    if _packed(fld):
+        return _bit_sets(np.asarray(elements) != 0)
     if _digit_form(fld):
         return fld.digits(elements).astype(np.min_scalar_type(2 * fld.p - 2))
     return np.asarray(elements).astype(np.min_scalar_type(2 * fld.q - 2))
@@ -294,17 +324,21 @@ def _layout(code: LinearCode):
 
 
 def _block(fld: GF, layout, block: int) -> np.ndarray:
-    """Block `block` of a _stack_layout, as field elements."""
+    """Block `block` of a _stack_layout in the form the block pass reads:
+    field elements, but bit sets for q = 2 (_lift)."""
     tail, span, prefixes = layout
     words = tail if block == 0 else _add(fld, prefixes[block - 1], span)
     return words @ fld.x_powers if _digit_form(fld) else words
 
 
-def codeword_matrix(code: LinearCode, block: int = 0) -> np.ndarray:
+def codeword_matrix(code: LinearCode, block: int = 0, packed: bool = False) -> np.ndarray:
     """Enumeration block `block` of the code's projective words: one row per
     word, in lexicographic message order, with n columns of field elements.
-    Blocks 0, 1, ... together list projective_representatives' messages."""
-    return _block(code.field, _layout(code), block)
+    Blocks 0, 1, ... together list projective_representatives' messages.
+    With packed, a binary code's words stay the bit sets the block pass
+    reads (_bit_sets), one row of ceil(n / 64) uint64 limbs each."""
+    words = _block(code.field, _layout(code), block)
+    return _unpack(words, code.n) if _packed(code.field) and not packed else words
 
 
 def support(word) -> frozenset[int]:
@@ -366,15 +400,6 @@ def _weights(multiplicities, mask: np.ndarray) -> list[int]:
     return sums[:, 0].tolist()
 
 
-def _support_keys(mask: np.ndarray) -> np.ndarray:
-    """Each word's support as uint64 bit sets, 64 columns to each, along the
-    mask's last axis."""
-    packed = np.packbits(mask, axis=-1)
-    keys = np.zeros((*mask.shape[:-1], -(-packed.shape[-1] // 8) * 8), dtype=np.uint8)
-    keys[..., :packed.shape[-1]] = packed
-    return keys.view(np.uint64)
-
-
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
     """The number of distinct key rows of each candidate, for keys of shape
     (words, candidates, key columns)."""
@@ -396,11 +421,13 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
 
 def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     """The block pass over a stack of codes of shape (k, B, n), each block
-    (words, B, n) field elements: (weights, qm), as _pass returns them.  For
-    one code with multiplicities, whose weights can exceed n and 2^63,
-    weights is instead a Counter of its words' exact weights (_weights).
-    The supports are compared as bit sets (_support_keys)."""
+    (words, B, n) field elements, or (words, B, limbs) bit sets for q = 2:
+    (weights, qm), as _pass returns them.  For one code with
+    multiplicities, whose weights can exceed n and 2^63, weights is instead
+    a Counter of its words' exact weights (_weights).  The supports are
+    compared as bit sets (_bit_sets); a binary word is its own."""
     k, count, n = shape
+    packed = _packed(fld)
     if multiplicities:
         weights = Counter()
     else:
@@ -408,14 +435,18 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
         offsets = (n + 1) * np.arange(count)
     keys = []
     for words in blocks:
-        mask = words != 0
+        mask = words if packed else words != 0  # a binary word is its own packed mask
         if multiplicities:
-            weights.update(_weights(multiplicities, mask[:, 0]))
+            rows = _unpack(mask[:, 0], n) if packed else mask[:, 0]
+            weights.update(_weights(multiplicities, rows))
         else:
-            flat = np.bincount((mask.sum(axis=2) + offsets).ravel(), minlength=weights.size)
+            sizes = (np.bitwise_count(mask).sum(axis=2, dtype=np.intp) if packed
+                     else mask.sum(axis=2))
+            sizes += offsets
+            flat = np.bincount(sizes.ravel(), minlength=weights.size)
             weights += flat.reshape(count, n + 1)
         if supports:
-            keys.append(_support_keys(mask))
+            keys.append(mask if packed else _bit_sets(mask))
     if not supports:
         return weights, None
     distinct = _distinct_rows(np.concatenate(keys))
@@ -483,6 +514,8 @@ def _incidence(fld: GF, k: int) -> np.ndarray:
     point w."""
     reps = np.array(projective_representatives(fld, k)).T
     words = _words(fld, reps)[0]
+    if _packed(fld):
+        words = _unpack(words, len(reps[0]))
     zero = ~words.any(axis=-1) if _digit_form(fld) else words == 0
     return np.nonzero(zero)[1].reshape(len(zero), -1)
 
@@ -554,9 +587,9 @@ def _point_pass(fld: GF, stack: np.ndarray, supports: bool):
 def _pass(fld: GF, stack: np.ndarray, supports: bool, blocks, multiplicities=None):
     """The one weight pass over the codes stacked in stack (k, B, n), a
     stack of one for a single code: (weights, qm).  blocks lazily yields
-    the stack's enumeration blocks, (words, B, n) field elements, so none
-    is built before the guard passes or when the point pass runs; plain
-    codes of the shapes _by_points picks take the point pass instead.
+    the stack's enumeration blocks as _block gives them, so none is built
+    before the guard passes or when the point pass runs; plain codes of
+    the shapes _by_points picks take the point pass instead.
 
     weights counts each code's words by weight, shape (B, n + 1).  Bin 0 is
     empty exactly for a full-rank code; such a code is MWS when no bin
@@ -572,10 +605,10 @@ def _pass(fld: GF, stack: np.ndarray, supports: bool, blocks, multiplicities=Non
 
 def _enumerate(code: LinearCode, supports: bool):
     """The code's _pass, as a stack of one whose blocks come from
-    codeword_matrix: (its weights, whether its supports are pairwise
-    distinct, or None without supports)."""
-    q, k = code.q, code.k
-    blocks = (codeword_matrix(code, block)[:, None] for block in range(_block_count(q, k)))
+    codeword_matrix, binary words packed: (its weights, whether its supports
+    are pairwise distinct, or None without supports)."""
+    blocks = (codeword_matrix(code, block, packed=True)[:, None]
+              for block in range(_block_count(code.q, code.k)))
     stack = np.array(code.generator, dtype=np.int64)[:, None]
     weights, qm = _pass(code.field, stack, supports, blocks,
                         None if code.is_plain else code.multiplicities)

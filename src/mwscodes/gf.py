@@ -16,6 +16,7 @@ same O(1) lookups and an O(q) build for every q up to MAX_TABLE_ORDER.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -116,15 +117,61 @@ def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a b mod the monic f over GF(p), for a and b of length m = deg f; the
+    result has length m too."""
+    m = len(f) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for i in range(2 * m - 2, m - 1, -1):  # cancel x^i by x^(i - m) f
+        c = prod[i] % p
+        if c:
+            for j in range(m):
+                prod[i - m + j] -= c * f[j]
+    return [c % p for c in prod[:m]]
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A greatest common divisor of a and b over GF(p), trimmed."""
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
 def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(poly)/2."""
+    """Rabin's test (Rabin, Probabilistic algorithms in finite fields, SIAM
+    J. Comput. 1980): the monic f of degree m is irreducible over GF(p) iff
+    x^(p^m) = x mod f and gcd(x^(p^(m/d)) - x, f) = 1 for every prime d
+    dividing m.  Raising to the p-th power is GF(p)-linear, so
+    g^p = sum g_i x^(p i) mod f: the rows x^(p i) are built once, from x^p
+    by square-and-multiply, and each x^(p^j) is the last one through them,
+    about m^3 + m^2 log p steps in all."""
     m = len(poly) - 1
-    for deg in range(1, m // 2 + 1):
-        # all monic polynomials of degree deg, low coefficients as base-p digits
-        for idx in range(p**deg):
-            divisor = [(idx // p**i) % p for i in range(deg)] + [1]
-            if not _poly_mod(poly, divisor, p):
-                return False
+    if m == 1:
+        return True
+    x = [0, 1] + [0] * (m - 2)
+    xp = x
+    for bit in bin(p)[3:]:  # x^p, left to right over the bits of p
+        xp = _poly_mulmod(xp, xp, poly, p)
+        if bit == "1":
+            xp = _poly_mulmod(xp, x, poly, p)
+    rows = [[1] + [0] * (m - 1)]
+    for _ in range(m - 1):
+        rows.append(_poly_mulmod(rows[-1], xp, poly, p))
+    columns = list(zip(*rows))
+    frobenius = [x]  # x^(p^j) mod f for j = 0..m
+    for _ in range(m):
+        g = frobenius[-1]
+        frobenius.append([sum(map(operator.mul, g, col)) % p for col in columns])
+    if frobenius[m] != x:
+        return False
+    for d in _prime_factors(m):
+        diff = _poly_trim([(a - b) % p for a, b in zip(frobenius[m // d], x)])
+        if not diff or len(_poly_gcd(list(poly), diff, p)) > 1:
+            return False
     return True
 
 
@@ -135,7 +182,8 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     for idx in range(p**m):
         low = [(idx // p**i) % p for i in range(m)]
         poly = low + [1]
-        if _is_irreducible(poly, p):
+        # the roots 0 and 1 are cheap to rule out: f(0) = low[0], f(1) = sum
+        if low[0] and sum(poly) % p and _is_irreducible(poly, p):
             return tuple(poly)
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 

@@ -177,9 +177,12 @@ def _add128(x, y):
     return x[0] + y[0] + (low < x[1]), low
 
 
-def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int) -> np.ndarray:
+def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int,
+                 flagged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Draw r of each trial, next(islice(_draws(q, k, n, trial_rng(seed, t)),
-    r, None)), for all trials t at once, as one (B, k, n) array.
+    r, None)), for all trials t at once, as one (B, k, n) array, and the
+    trials' flags after this round.  flagged marks the trials drawn through
+    trial_rng in an earlier round (all False in round 0); they stay on it.
 
     The steps replay numpy exactly.  SeedSequence hashes the seed's words
     into a pool, read here off numpy's own SeedSequence(seed), hashes each
@@ -194,12 +197,13 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int) 
     for h = 1, 2, 4, ..., one product by a 128-bit constant per state.
     integers(0, q) maps word u to u q >> 32, but rejects u when u q mod
     2^32 < 2^32 mod q: the draw holds words r k n .. (r + 1) k n - 1 only
-    when none of words 0 .. (r + 1) k n - 1 was rejected, so all of them
-    are computed, except for q a power of 2, which never rejects.  A trial
-    with a rejected word, or an index of 2^32 or more (two spawn words), is
-    drawn through trial_rng instead.  The arrays hold up to (r + 1) k n / 2
-    outputs per trial, so the caller bounds their size by the trials it
-    passes: _candidates passes one batch.
+    when none of words 0 .. (r + 1) k n - 1 was rejected.  Only this round's
+    words are computed and checked, since flagged carries the earlier
+    rounds' verdicts; a power of 2 never rejects.  A trial with a rejected
+    word, or an index of 2^32 or more (two spawn words), is flagged and
+    drawn through trial_rng instead.  The arrays hold about k n / 2 outputs
+    per trial, so the caller bounds their size by the trials it passes:
+    _candidates passes one batch.
     """
     kn, count = k * n, (r + 1) * k * n
     pool = np.random.SeedSequence(seed).pool  # refuses a negative seed
@@ -221,7 +225,7 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int) 
     inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
     x = _add128(inc, (words[:, 0], words[:, 1]))
     reject = 2**32 % q
-    m0 = 0 if reject else r * kn // 2  # the first output holding a word to read
+    m0 = r * kn // 2  # the first output holding a word to read
     outputs = (count + 1) // 2 - m0
     # j steps of x -> M x + c take x to M^j x + S_j c, S_j = sum_{i<j} M^i;
     # the binary powers (a, s) = (M^h, S_h) compose into j = m0 + 2
@@ -244,15 +248,16 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int) 
     v, rot = st_h ^ st_l, st_h >> 58
     out = v >> rot | v << (-rot & 63)
     stream = out.T.astype("<u8", order="C").view("<u4")  # each output's low half first
-    scaled = stream[:, :count - 2 * m0].astype(np.uint64) * q
-    slow = trials >> 32 != 0
+    lo = r * kn - 2 * m0  # this round's first word in the stream
+    scaled = stream[:, lo:lo + kn].astype(np.uint64) * q
+    flagged = flagged | (trials >> 32 != 0)
     if reject:
-        slow |= ((scaled & _M32) < reject).any(axis=1)
-    gens = (scaled[:, -kn:] >> 32).astype(np.int64).reshape(-1, k, n)
-    for i in np.flatnonzero(slow):
+        flagged |= ((scaled & _M32) < reject).any(axis=1)
+    gens = (scaled >> 32).astype(np.int64).reshape(-1, k, n)
+    for i in np.flatnonzero(flagged):
         rng = trial_rng(seed, int(trials[i]))
         gens[i] = next(itertools.islice(_draws(q, k, n, rng), r, None))
-    return gens
+    return gens, flagged
 
 
 def random_code(q: int, k: int, n: int, rng: np.random.Generator) -> LinearCode:
@@ -304,7 +309,8 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
 
     Candidate i is trial i's code in random mode and the i-th systematic
     generator in exhaustive mode.  Random draws come from _trial_draws, one
-    call per batch and round.  A rank-deficient draw (bin 0 not empty) is
+    call per batch and round, which carries each trial's trial_rng flag
+    from round to round.  A rank-deficient draw (bin 0 not empty) is
     replaced by its trial's next draw: the batch's deficient trials draw
     again together until each has full rank.  [I | A] has full rank, so
     exhaustive batches never redraw."""
@@ -313,7 +319,8 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
     for first in range(lo, hi, most):
         top = min(first + most, hi)
         if mode == "random":
-            gens = _trial_draws(seed, np.arange(first, top), 0, q, k, n)
+            gens, flagged = _trial_draws(seed, np.arange(first, top), 0, q, k, n,
+                                         np.zeros(top - first, dtype=bool))
         else:
             gens = _systematic(q, k, n, first, top)
         hist, qm = _histograms(fld, gens.transpose(1, 0, 2), supports)
@@ -321,7 +328,8 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
         r = 0
         while len(redrawn):  # one pass per round of redraws
             r += 1
-            gens[redrawn] = _trial_draws(seed, first + redrawn, r, q, k, n)
+            gens[redrawn], flagged[redrawn] = _trial_draws(seed, first + redrawn, r, q, k, n,
+                                                           flagged[redrawn])
             hist[redrawn], found = _histograms(fld, gens[redrawn].transpose(1, 0, 2), supports)
             if supports:
                 qm[redrawn] = found

@@ -1,18 +1,23 @@
-"""Slow reference oracles for the enumeration core in mwscodes.codes and
-for the threshold scan and its binomial sum in mwscodes.bounds.
+"""Slow reference oracles for the enumeration core in mwscodes.codes, for
+the threshold scan and its binomial sum in mwscodes.bounds, and for the
+irreducibility test in mwscodes.gf.
 
 Messages come from the recursive generator the library used before its
 block enumerator, and words from per-message `codeword`; weights and
 supports are then counted one word at a time.  The threshold scan is the
 exact big-integer scan the library used before its interval scan, and the
-binomial sum is its one-line definition.
+binomial sum is its one-line definition.  Irreducibility is decided by
+trial division, as the library did before Rabin's test.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from types import SimpleNamespace
+
+import numpy as np
 
 from mwscodes import bounds, codeword, support, weighted_weight
 
@@ -122,3 +127,52 @@ def eqbound_scan(q: int, ks, max_n: int | None) -> dict[int, int | None]:
             return found
         n += 1
         limit *= q * q
+
+
+def monic_polynomials(p: int, m: int) -> np.ndarray:
+    """Every monic polynomial of degree m over GF(p), one row of m + 1
+    coefficients each, constant term first; row i has its low coefficients
+    as the base-p digits of i, the order gf._smallest_irreducible tries."""
+    low = np.arange(p**m)[:, None] // p ** np.arange(m) % p
+    return np.concatenate([low, np.ones((p**m, 1), dtype=np.int64)], axis=1)
+
+
+@lru_cache(maxsize=None)
+def irreducible_flags(p: int, m: int) -> tuple[bool, ...]:
+    """Whether each of monic_polynomials(p, m) is irreducible, by trial
+    division of all of them at once: a reducible one has a monic irreducible
+    factor of degree at most m/2, so each irreducible divisor of those
+    degrees (found the same way) divides every row not yet found reducible,
+    one long division step per leading coefficient."""
+    polys = monic_polynomials(p, m)
+    flags = np.ones(len(polys), dtype=bool)
+    for deg in range(1, m // 2 + 1):
+        for divisor in monic_polynomials(p, deg)[list(irreducible_flags(p, deg))]:
+            rows = np.flatnonzero(flags)
+            rem = polys[rows]
+            for top in range(m, deg - 1, -1):  # cancel x^top by x^(top - deg) divisor
+                rem[:, top - deg:top + 1] -= rem[:, top:top + 1] * divisor
+                rem[:, top - deg:top + 1] %= p
+            flags[rows] = rem[:, :deg].any(axis=1)
+    return tuple(flags.tolist())
+
+
+def binary_word_blocks(generator, rows: int = 2**12):
+    """The projective words of a k x n binary generator (any rank), in
+    lexicographic message order, as 0/1 arrays of at most `rows` words: the
+    nonzero messages 1 .. 2^k - 1, first coordinate most significant, times
+    the generator mod 2, the message-matrix product that the block
+    enumerator replaced (a float product is exact for sums below 2^53)."""
+    gen = np.asarray(generator, dtype=np.float64)
+    k = len(gen)
+    for lo in range(1, 2**k, rows):
+        msgs = np.arange(lo, min(lo + rows, 2**k))[:, None] >> np.arange(k - 1, -1, -1) & 1
+        yield (msgs @ gen).astype(np.int64) % 2
+
+
+def binary_histogram(generator) -> list[int]:
+    """histogram() of a binary generator, from binary_word_blocks."""
+    n = len(generator[0])
+    counts = sum(np.bincount(words.sum(axis=1), minlength=n + 1)
+                 for words in binary_word_blocks(generator))
+    return counts.tolist()

@@ -1,6 +1,7 @@
 """Bound formula tests with independent oracles where values were derived."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -95,6 +96,16 @@ def test_asymptotic_ratios_approach_one():
         assert lambda_q(q) / (2 * q**3 * math.log(q)) == pytest.approx(1.0, abs=0.05)
         assert mu_q(q) / (q * math.log(q)) == pytest.approx(1.0, abs=0.05)
         assert (lambda_q(q) / mu_q(q)) / (2 * q**2) == pytest.approx(1.0, abs=0.05)
+
+
+def test_lambda_q_is_inf_from_where_its_float_overflows(monkeypatch):
+    # 2^338 is the last power of 2 whose factor is finite; from 2^339 on
+    # lambda_q answers inf without mpmath, which took 0.8 s at 10^4299
+    assert lambda_q(2**338) == pytest.approx(8.225982e307, rel=1e-6)
+    assert lambda_q(2**339 - 1) == math.inf
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # importing it now fails
+    for q in (2**339, 10**324, 10**4299):
+        assert lambda_q(q) == math.inf
 
 
 # -- length bounds ------------------------------------------------------------

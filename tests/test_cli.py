@@ -707,6 +707,25 @@ def test_a_huge_q_trips_a_guard_without_being_factored(capsys, no_factoring, tmp
     assert payload["error"] == error
 
 
+class NoMpmath:
+    """Stands in for the mpmath module: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"mpmath.{name} was used")
+
+
+# these once exited 4: mu_q's float denominator underflows to 0 from about
+# 2^1077 (ZeroDivisionError), and lambda_q spent 0.8 s in mpmath at 10^4299
+# to return inf; lambda_q is inf from 2^339 on and mu_q waits for the checks
+@pytest.mark.parametrize("digits", [324, 1000, 4299])
+def test_bounds_refuses_a_q_past_the_float_range_without_mpmath(capsys, no_factoring,
+                                                                monkeypatch, digits):
+    monkeypatch.setitem(sys.modules, "mpmath", NoMpmath())
+    status, payload = run(capsys, "bounds", "--q", str(10**digits), "--k", "1")
+    assert status == cli.EXIT_GUARD == 3
+    assert payload["error"] == "PowerTooLargeError"
+
+
 QM_5_2 = "5 2 5\n1 0 1 1 1\n0 1 1 2 3\n"  # a QM [5, 2]_5 code
 
 

@@ -126,9 +126,9 @@ def count_blocks(monkeypatch):
     calls = []
     real = codes.codeword_matrix
 
-    def counted(code, block=0):
+    def counted(code, block=0, **kwargs):
         calls.append((code.n, block))
-        return real(code, block)
+        return real(code, block, **kwargs)
 
     monkeypatch.setattr(codes, "codeword_matrix", counted)
     return calls
@@ -158,7 +158,7 @@ def test_weights_never_compute_supports(monkeypatch):
     def boom(mask):
         raise AssertionError("supports computed")
 
-    monkeypatch.setattr(codes, "_support_keys", boom)
+    monkeypatch.setattr(codes, "_bit_sets", boom)  # a q = 4 pass packs only supports
     code = make_code(4, "small")
     assert weight_spectrum(code).counts == reference.spectrum(code)
     assert is_mws(code) == reference.is_mws(code)
@@ -185,7 +185,8 @@ def test_binary_codes_are_qm_without_supports(profile, monkeypatch):
     code = make_code(2, profile)
     spec = reference.spectrum(code)
     assert reference.is_qm(code)
-    monkeypatch.setattr(codes, "_support_keys", no_supports)
+    # a binary word is its own support key, so no support may be compared
+    monkeypatch.setattr(codes, "_distinct_rows", no_supports)
     calls = count_passes(monkeypatch)
     assert is_qm(code) is True and calls == []  # no pass at all
     report = spectrum_report(code)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import reference
 from mwscodes import NotPrimePowerError, build_field
 from mwscodes import gf
 from mwscodes.gf import (
@@ -289,3 +290,36 @@ def test_build_field_refuses_a_huge_order_before_factoring_it(no_factoring):
     for q in (2**61 - 1, 999999999999999989, 2**16 * 3):
         with pytest.raises(FieldTooLargeError):
             build_field(q)
+
+
+# -- irreducibility -----------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rabin_test_matches_trial_division(p, m):
+    # every monic polynomial of degree m over GF(p): m = 2, 3, 5 are prime,
+    # m = 4 has the prime divisor 2 and m = 6 the divisors 2 and 3
+    expected = reference.irreducible_flags(p, m)
+    polys = reference.monic_polynomials(p, m).tolist()
+    assert [_is_irreducible(poly, p) for poly in polys] == list(expected)
+    smallest = polys[expected.index(True)]
+    assert gf._smallest_irreducible(p, m) == tuple(smallest)
+
+
+@pytest.mark.parametrize("q, modulus", [
+    ((2**31 - 1) ** 2, (1, 0, 1)),  # -1 is no square mod 2^31 - 1
+    (2**40, (1, 0, 0, 1, 1, 1) + (0,) * 34 + (1,)),  # x^40 + x^5 + x^4 + x^3 + 1
+])
+def test_smallest_irreducible_of_a_large_degree_or_characteristic(q, modulus, monkeypatch):
+    # trial division took p^(m/2) = 2^31 and 2^20 divisions per candidate;
+    # Rabin's test takes a few hundred products of polynomials mod f
+    products = []
+    real = gf._poly_mulmod
+
+    def counted(*args):
+        products.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gf, "_poly_mulmod", counted)
+    assert field_parameters(q)[2] == modulus
+    assert len(products) < 10**5

@@ -139,7 +139,8 @@ def test_square_binary_draws_are_replayed():
 
 
 def block_pass(fld, stack, supports):
-    """The block pass over stack (k, B, n), whatever _pass would pick."""
+    """The block pass over stack (k, B, n), whatever _pass would pick, and
+    its blocks: field elements, or bit sets for q = 2."""
     layout = codes._stack_layout(fld, stack)
     blocks = [codes._block(fld, layout, b) for b in range(codes._block_count(fld.q, len(stack)))]
     return codes._tally(fld, stack.shape, iter(blocks), supports), blocks
@@ -168,7 +169,8 @@ def test_histograms_match_reference_per_candidate(q, monkeypatch):
         assert [h.tolist() for h in hist] == [h for h, _ in expected]
         assert qm.tolist() == [d == points for _, d in expected]
         _, blocks = block_pass(fld, stack.transpose(1, 0, 2), supports=True)
-        keys = np.concatenate([codes._support_keys(words != 0) for words in blocks])
+        # a binary block holds bit sets, which are their own support keys
+        keys = np.concatenate([words if q == 2 else codes._bit_sets(words != 0) for words in blocks])
         assert codes._distinct_rows(keys).tolist() == [d for _, d in expected]
     # the point pass, whose QM test reads no supports, agrees
     hist_points, qm_points = codes._point_pass(fld, stack.transpose(1, 0, 2), supports=True)

@@ -60,14 +60,19 @@ def record_trial_rngs(monkeypatch):
 
 
 def check_against_reference(seed, trials, q, monkeypatch):
-    """The number of (shape, round, trial) cells drawn through trial_rng."""
+    """The number of (shape, round, trial) cells drawn through trial_rng.
+    Each shape's rounds run in order, each taking the flags the last one
+    returned, as _candidates threads them."""
     calls = record_trial_rngs(monkeypatch)
     for (k, n), r in itertools.product(SHAPES, ROUNDS):
+        if r == 0:
+            flagged = np.zeros(len(trials), dtype=bool)
         start = len(calls)
-        gens = search_mod._trial_draws(seed, np.array(trials), r, q, k, n)
+        gens, flagged = search_mod._trial_draws(seed, np.array(trials), r, q, k, n, flagged)
         assert gens.shape == (len(trials), k, n) and gens.dtype == np.int64
-        assert calls[start:] == [t for t in trials
-                                 if t >> 32 or reference_rejected(seed, t, r, q, k, n)]
+        expected = [bool(t >> 32) or reference_rejected(seed, t, r, q, k, n) for t in trials]
+        assert calls[start:] == [t for t, slow in zip(trials, expected) if slow]
+        assert flagged.tolist() == expected
         for j, t in enumerate(trials):
             assert np.array_equal(gens[j], reference_draw(seed, t, r, q, k, n))
     return len(calls)
@@ -92,8 +97,9 @@ def test_kernel_flags_exactly_the_rejected_trials(q, monkeypatch):
 def test_kernel_flags_trials_past_two_to_the_32(monkeypatch):
     calls = record_trial_rngs(monkeypatch)
     trials = [2**32 - 1, 2**32, 2**32 + 5, 2**40]
-    gens = search_mod._trial_draws(3, np.array(trials), 1, 4, 2, 5)
-    assert calls == trials[1:]
+    # q = 4 never rejects, so round 1 needs no flags from round 0
+    gens, flagged = search_mod._trial_draws(3, np.array(trials), 1, 4, 2, 5, np.zeros(4, dtype=bool))
+    assert calls == trials[1:] and flagged.tolist() == [False, True, True, True]
     for j, t in enumerate(trials):
         assert np.array_equal(gens[j], reference_draw(3, t, 1, 4, 2, 5))
 
@@ -101,7 +107,7 @@ def test_kernel_flags_trials_past_two_to_the_32(monkeypatch):
 def test_kernel_refuses_a_negative_seed():
     # np.random.SeedSequence(seed) refuses it; this is numpy's message
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        search_mod._trial_draws(-5, np.arange(3), 0, 3, 2, 5)
+        search_mod._trial_draws(-5, np.arange(3), 0, 3, 2, 5, np.zeros(3, dtype=bool))
 
 
 def candidates(q, k, n, seed, lo, hi):
@@ -173,9 +179,9 @@ def record_calls(monkeypatch):
     calls = []
     real_draws, real_histograms = search_mod._trial_draws, search_mod._histograms
 
-    def drawing(seed, trials, r, q, k, n):
+    def drawing(seed, trials, r, q, k, n, flagged):
         calls.append(("draw", r, len(trials)))
-        return real_draws(seed, trials, r, q, k, n)
+        return real_draws(seed, trials, r, q, k, n, flagged)
 
     def enumerating(fld, stack, supports):
         calls.append(("hist", stack.shape[1]))  # stack is (k, B, n)
