@@ -6,6 +6,9 @@ from a float interval with outward rounding that holds the exact value,
 falling back to a big-integer comparison when the interval straddles the
 threshold.  bounds_table assembles a (q, k) grid and runs one threshold
 scan per q, which settles every k of that q in a single pass over n.
+The scanned T_n = S_n / q^{2n} decreases strictly and stays above
+1 / sqrt(pi (2 beta n + 1)), beta = 2 (q-1) / q^2, so a k that this bound
+puts past the cap gets None, certified in integers, without being scanned.
 Real-valued quantities (entropy, the two GV-type length factors) are
 returned as floats; the factor lambda_q is evaluated in high-precision
 arithmetic internally because 1 - h_q((q-2)/(q-1)) underflows double
@@ -106,16 +109,19 @@ def exact_mws_length(q: int, k: int) -> int | None:
 
 
 def binom_sq_sum(n: int, q: int) -> int:
-    """sum_{w=0}^{n} C(n,w)^2 (q-1)^{2w}, exactly.  Each term t_w^2 comes
-    from the last one's t_w = C(n,w) (q-1)^w by the exact step
-    t_{w+1} = t_w (n - w) (q - 1) / (w + 1), not from a fresh C(n,w)."""
+    """sum_{w=0}^{n} C(n,w)^2 (q-1)^{2w}, exactly.  With x = (q-1)^2 the sums
+    obey the three-term recurrence
+    (m+1) S_{m+1} = (2m+1)(1+x) S_m - m(1-x)^2 S_{m-1}, from S_0 = 1, whose
+    division by m+1 is exact: a few big-integer products per step instead
+    of a term per w."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    total, term = 0, 1
-    for w in range(n + 1):
-        total += term * term
-        term = term * (n - w) // (w + 1) * (q - 1)
-    return total
+    x = (q - 1) ** 2
+    a, b = 1 + x, (1 - x) ** 2
+    prev, cur = 0, 1
+    for m in range(n):
+        prev, cur = cur, ((2 * m + 1) * a * cur - m * b * prev) // (m + 1)
+    return cur
 
 
 def max_term(n: int, q: int) -> tuple[int, int]:
@@ -182,15 +188,39 @@ def _enclosures(q: int, n: int):
         m = m1
 
 
+def _fails_through(q: int, k: int, n: int) -> bool:
+    """True when a certificate shows T_m > 2 (q-1)^2 / q^{2k} for every
+    m <= n, T_m = S_m / q^{2m}: then k fails the threshold test at every
+    length up to n.  False says nothing.
+
+    With beta = 2 (q-1) / q^2, Parseval gives T_m = (1/2 pi) int_0^{2 pi}
+    (1 - beta (1 - cos t))^m dt, so T_m decreases strictly in m.  With
+    u = sin(t/2), Bernoulli's inequality 1 - 2 beta u^2 >= (1 - u^2)^{2 beta},
+    the Beta integral and Gautschi's inequality give
+    T_m > 1 / sqrt(pi (2 beta m + 1)).  As 355/113 > pi, a bar = 2 (q-1)^2
+    / q^{2k} with bar^2 (355/113) (2 beta n + 1) <= 1 lies below T_n, and so
+    below every T_m with m <= n.  The test is that inequality times
+    113 q^{4k+2}, in integers.
+    """
+    return (355 * 4 * (q - 1) ** 4 * (4 * (q - 1) * n + q * q)
+            <= 113 * q ** (4 * k + 2))
+
+
 def _eqbound_scan(q: int, ks: Iterable[int], max_n: int | None) -> dict[int, int | None]:
     """eqbound_min_n(q, k, max_n) for every k in ks, from one upward scan.
 
-    Each k is tested from max(k, 1) on; the scan starts at the smallest of
-    these.  At each n only the smallest pending k is tested: q^{2k} grows
-    with k, so a larger k fails wherever a smaller one does.  When it passes,
-    the next k is tested at the same n.  A k whose start lies above n waits
-    until n reaches it.  Once n >= max_n, every pending k whose start has
-    been reached gets None.
+    With a cap, a k that _fails_through certifies to fail at every n up to
+    max(max_n, k, 1), the last length the scan would test it at, gets None
+    at once, before any scan: it would fail every test the scan made.  Only
+    the other ks are scanned, and none at all when every k is certified, so
+    a capped scan ends at the last threshold it finds, not at the cap.
+
+    Each scanned k is tested from max(k, 1) on; the scan starts at the
+    smallest of these.  At each n only the smallest pending k is tested:
+    q^{2k} grows with k, so a larger k fails wherever a smaller one does.
+    When it passes, the next k is tested at the same n.  A k whose start
+    lies above n waits until n reaches it.  Once n >= max_n, every pending k
+    whose start has been reached gets None.
 
     The test q^{2k} S_n < 2 (q-1)^2 q^{2n} is T_n < 2 (q-1)^2 / q^{2k}, with
     T_n = S_n / q^{2n} enclosed by _enclosures and the threshold enclosed
@@ -203,11 +233,16 @@ def _eqbound_scan(q: int, ks: Iterable[int], max_n: int | None) -> dict[int, int
     pending = sorted(set(ks))
     if pending[0] < 0:
         raise ValueError(f"k must be >= 0, got {pending[0]}")
+    found: dict[int, int | None] = {
+        k: None for k in pending
+        if max_n is not None and _fails_through(q, k, max(max_n, k, 1))}
+    pending = [k for k in pending if k not in found]
+    if not pending:
+        return found
     starts = [max(k, 1) for k in pending]
     scales = [q ** (2 * k) for k in pending]
     bars = [_enclose(Fraction(2 * (q - 1) ** 2, scale)) for scale in scales]
     bars = [bar if bar[0] >= sys.float_info.min else (-math.inf, math.inf) for bar in bars]
-    found: dict[int, int | None] = {}
     n = starts[0]
     i, m = 0, len(pending)
     for t_lo, t_hi in _enclosures(q, n):
@@ -234,7 +269,10 @@ def eqbound_min_n(q: int, k: int, max_n: int | None = None) -> int | None:
     raise ValueError.  The left side eventually decays like 1/sqrt(n), so
     the scan terminates, but for large (q, k) only after very many steps:
     max_n caps it, and None means the threshold was not reached by max_n.
-    The first n is always tested, even when it exceeds max_n.  This is one k
+    The first n is always tested, even when it exceeds max_n.  With a cap,
+    a k whose test the lower bound 1 / sqrt(pi (2 beta n + 1)) on the
+    decreasing left side (_fails_through) shows to fail up to the cap gets
+    None without a scan.  This is one k
     of the scan that bounds_table shares between all k of one q.
     """
     return _eqbound_scan(q, [k], max_n)[k]

@@ -148,31 +148,34 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     dividing m.  Raising to the p-th power is GF(p)-linear, so
     g^p = sum g_i x^(p i) mod f: the rows x^(p i) are built once, from x^p
     by square-and-multiply, and each x^(p^j) is the last one through them,
-    about m^3 + m^2 log p steps in all."""
+    about m^3 + m^2 log p steps in all.  A root makes f reducible for m > 1,
+    so gcd(x^p - x, f) != 1 rejects f as soon as x^p is known."""
     m = len(poly) - 1
     if m == 1:
         return True
     x = [0, 1] + [0] * (m - 2)
+
+    def meets_f(g: list[int]) -> bool:  # gcd(g - x, f) != 1
+        diff = _poly_trim([(a - b) % p for a, b in zip(g, x)])
+        return not diff or len(_poly_gcd(list(poly), diff, p)) > 1
+
     xp = x
     for bit in bin(p)[3:]:  # x^p, left to right over the bits of p
         xp = _poly_mulmod(xp, xp, poly, p)
         if bit == "1":
             xp = _poly_mulmod(xp, x, poly, p)
-    rows = [[1] + [0] * (m - 1)]
-    for _ in range(m - 1):
+    if meets_f(xp):
+        return False
+    rows = [[1] + [0] * (m - 1), xp]
+    for _ in range(m - 2):
         rows.append(_poly_mulmod(rows[-1], xp, poly, p))
     columns = list(zip(*rows))
     frobenius = [x]  # x^(p^j) mod f for j = 0..m
     for _ in range(m):
         g = frobenius[-1]
         frobenius.append([sum(map(operator.mul, g, col)) % p for col in columns])
-    if frobenius[m] != x:
-        return False
-    for d in _prime_factors(m):
-        diff = _poly_trim([(a - b) % p for a, b in zip(frobenius[m // d], x)])
-        if not diff or len(_poly_gcd(list(poly), diff, p)) > 1:
-            return False
-    return True
+    return frobenius[m] == x and not any(
+        meets_f(frobenius[m // d]) for d in _prime_factors(m) if d < m)
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:

@@ -225,6 +225,8 @@ def test_forced_straddles_keep_every_answer(monkeypatch, q):
     monkeypatch.setattr(bounds_mod, "_UP", 2.0**200)
     monkeypatch.setattr(bounds_mod, "_DOWN", 2.0**-200)
     monkeypatch.setattr(bounds_mod, "binom_sq_sum", counted)
+    # no k is settled by the certificate, so every k reaches the scan
+    monkeypatch.setattr(bounds_mod, "_fails_through", lambda q, k, n: False)
     for cap in (0, 1, 2, 5, 21, 60):
         assert _eqbound_scan(q, range(6), cap) == reference.eqbound_scan(q, range(6), cap)
         for k in range(6):
@@ -234,6 +236,44 @@ def test_forced_straddles_keep_every_answer(monkeypatch, q):
             start = max(k, 1)
             end = max(start, cap) if found is None else found
             assert set(range(start + 1, end + 1)) <= set(tested)
+
+
+@pytest.mark.parametrize("q", list(range(2, 17)) + [25, 27, 32, 49, 64, 81, 125, 128, 243, 256])
+def test_certificate_inequality_holds_exactly(q):
+    # _fails_through rests on T_n = S_n / q^{2n} decreasing strictly and on
+    # T_n^2 (355/113) (2 beta n + 1) > 1, beta = 2 (q-1) / q^2
+    beta = Fraction(2 * (q - 1), q * q)
+    previous = None
+    for n, s in zip(range(301), reference.binom_sq_sums(q, 0)):
+        t = Fraction(s, q ** (2 * n))
+        assert previous is None or t < previous, (q, n)
+        assert t * t * Fraction(355, 113) * (2 * beta * n + 1) > 1, (q, n)
+        previous = t
+
+
+def test_certified_cells_are_not_scanned(monkeypatch):
+    def fail(*args):
+        raise AssertionError("scanned a certified k")
+
+    monkeypatch.setattr(bounds_mod, "_enclosures", fail)
+    monkeypatch.setattr(bounds_mod, "binom_sq_sum", fail)
+    assert _eqbound_scan(9, [2, 3, 4], 2000) == {2: None, 3: None, 4: None}
+
+
+def test_scan_stops_at_the_last_threshold(monkeypatch):
+    # (8, 3) and (8, 4) are certified, so the scan ends at (8, 2)'s 1272,
+    # not at the cap
+    steps = []
+    true_enclosures = bounds_mod._enclosures
+
+    def counted(q, n):
+        for m, pair in enumerate(true_enclosures(q, n), n):
+            steps.append(m)
+            yield pair
+
+    monkeypatch.setattr(bounds_mod, "_enclosures", counted)
+    assert _eqbound_scan(8, [1, 2, 3, 4], 2000) == {1: 1, 2: 1272, 3: None, 4: None}
+    assert steps == list(range(1, 1273))
 
 
 def test_eqbound_min_n_uncapped_past_the_report_cap():
