@@ -17,6 +17,7 @@ precision already around q = 10^4.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from collections.abc import Iterable, Sequence
@@ -33,6 +34,23 @@ MAX_POWER_BITS = 2**20
 # bounds_table's threshold scans stop here (None): thresholds grow like
 # q^{4k+2}, and (9, 4) lies near n = 9e10, beyond any scan of n.
 EQBOUND_CAP = 2000
+
+
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift Python's limit on int-to-str digits (3.10.7+) while exact values
+    are written: bounds cells carry 2**gv_qm_length, which for q >= 11 has
+    more than the default 4300 digits, and a long Monte-Carlo run's exact
+    bound has terms as long."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield  # older interpreters have no limit
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class PowerTooLargeError(RuntimeError):

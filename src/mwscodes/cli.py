@@ -26,6 +26,7 @@ import traceback
 
 from . import bounds as bounds_mod
 from . import constructions
+from .bounds import _unlimited_int_str
 from .codes import EnumerationTooLargeError, spectrum_report
 from .gf import (
     FieldTooLargeError,
@@ -47,22 +48,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
-
-
-@contextlib.contextmanager
-def _unlimited_int_str():
-    """Lift Python's limit on int-to-str digits (3.10.7+) while a payload is
-    written: bounds cells carry 2**gv_qm_length, which for q >= 11 has more
-    than the default 4300 digits."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield  # older interpreters have no limit
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def _emit(payload: dict) -> None:

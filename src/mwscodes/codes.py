@@ -79,29 +79,45 @@ class RankDeficientError(ValueError):
     """Raised when a generator matrix has rank below its number of rows."""
 
 
-def gf_rank(fld: GF, rows: list[list[int]]) -> int:
-    """Rank of a matrix over GF(q) by Gaussian elimination."""
-    mat = [list(r) for r in rows]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
+def gf_rank(fld: GF, rows) -> int:
+    """Rank of a matrix over GF(q) by Gaussian elimination on numpy rows.
+
+    The matrix is held transposed, one array row per column, so its first
+    nonzero entry in column order is one argmax.  Each step takes that
+    entry as the pivot v, in column c and row r, subtracts (f / v) times
+    row r from each other row with an entry f != 0 in column c, and clears
+    row r; the rank is the number of steps.  Over a prime field the
+    products are integer products mod p, over any other they come off the
+    log/exp tables; differences are XOR for p = 2, mod p for prime q and
+    mod p on base-p digits otherwise."""
+    k = len(rows)
+    mat = np.array(rows, dtype=np.int64, ndmin=2).T.copy()
     rank = 0
-    col = 0
-    while rank < n_rows and col < n_cols:
-        pivot = next((r for r in range(rank, n_rows) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = fld.inv(mat[rank][col])
-        mat[rank] = [fld.mul(inv, x) for x in mat[rank]]
-        for r in range(n_rows):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [
-                    fld.sub(x, fld.mul(factor, y)) for x, y in zip(mat[r], mat[rank])
-                ]
+    while rank < k and mat.size:
+        nonzero = mat != 0
+        first = int(nonzero.argmax())
+        if not nonzero.flat[first]:
+            break
         rank += 1
-        col += 1
+        col, row = divmod(first, k)
+        factors, pivots, mat = mat[col], mat[col + 1:, row, None], mat[col + 1:]
+        v, factors[row] = int(factors[row]), 0
+        others = np.flatnonzero(factors)  # the rows to clear in column c
+        if len(others):
+            if fld.m == 1:
+                terms = pivots * (factors[others] * pow(v, -1, fld.p) % fld.p)
+            else:
+                # log(f / v) in [0, q - 2] plus a head log stays inside the doubled exp
+                head = fld.log[pivots]  # -1 marks a zero
+                terms = fld.exp[(fld.log[factors[others]] - fld.log[v]) % (fld.q - 1) + head]
+                terms *= head >= 0
+            if fld.p == 2:
+                mat[:, others] ^= terms
+            elif fld.m == 1:
+                mat[:, others] = (mat[:, others] - terms) % fld.p
+            else:
+                mat[:, others] = (fld.digits(mat[:, others]) - fld.digits(terms)) % fld.p @ fld.x_powers
+        mat[:, row] = 0
     return rank
 
 
@@ -135,7 +151,7 @@ class LinearCode:
             raise ValueError("multiplicity profile length differs from n")
         if any(m < 1 for m in self.multiplicities):
             raise ValueError("multiplicities must be >= 1")
-        if gf_rank(self.field, [list(r) for r in self.generator]) != k:
+        if gf_rank(self.field, self.generator) != k:
             raise RankDeficientError(f"generator does not have full rank {k}")
 
     @property

@@ -23,13 +23,15 @@ Reports are therefore byte-identical for any worker count and any chunking
 of the trial space.  Trial i's code is the first full-rank matrix among the
 draws of trial_rng(seed, i) (_draws).  The scans do not create that RNG:
 _trial_draws computes the same draws for a whole batch of trials with
-integer array arithmetic, and draws through trial_rng only the trials it
-cannot compute exactly (a rejected word in numpy's bounded draw, or an
-index of 2^32 or more).  A scan takes its candidates in batches of one size,
+integer array arithmetic, a fixed handful of numpy passes over the batch's
+PCG64 states, and draws through trial_rng only the trials it cannot
+compute exactly (a rejected word in numpy's bounded draw, or an index of
+2^32 or more).  A scan takes its candidates in batches of one size,
 bounded so that no array outgrows one enumeration block: one _trial_draws
 call draws a batch, one weight pass counts it, and its rank-deficient
-trials are redrawn together, one round at a time.  An early witness thus
-costs at most one batch of draws, weight passes and redraw rounds.
+trials below the batch's first accepted candidate are redrawn together,
+one round at a time.  An early witness thus costs one batch of draws and
+weight passes, plus the redraw rounds of the trials before it.
 
 Exhaustive mode enumerates systematic generators [I | A] only.  Every
 full-rank code is permutation-equivalent to a systematic one and coordinate
@@ -49,7 +51,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import codes
-from .bounds import eqbound_value, lambda_q
+from .bounds import _unlimited_int_str, eqbound_value, lambda_q
 from .codes import (
     LinearCode,
     RankDeficientError,
@@ -160,21 +162,71 @@ def _hash_chain(start: int, mult: int, count: int) -> np.ndarray:
 _STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's, for 8 words
 
 
-def _mul_const(xh, xl, a: int):
-    """(xh, xl) * a mod 2^128 on uint64 (high, low) arrays, for a 128-bit
-    constant a; the low halves' full product goes through 32-bit limbs."""
-    ah, al, a0, a1 = map(np.uint64, (a >> 64, a & _M64, a & _M32, a >> 32 & _M32))
-    x0, x1 = xl & _M32, xl >> 32
-    p00, p01, p10 = x0 * a0, x0 * a1, x1 * a0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    high = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + xh * al + xl * ah
-    return high, xl * al
+# A draw's first H states come from one product; longer draws double from there.
+H = 16
 
 
-def _add128(x, y):
-    """x + y mod 2^128 on uint64 (high, low) pairs."""
-    low = x[1] + y[1]
-    return x[0] + y[0] + (low < x[1]), low
+def _jump(j: int) -> tuple[int, int]:
+    """(M^j, S_j) mod 2^128, S_j = sum_{i<j} M^i: j steps of x -> M x + c
+    take x to M^j x + S_j c.  The binary powers (M^h, S_h) compose."""
+    a, s, jump_m, jump_s = _PCG_MULT, 1, 1, 0
+    while j:
+        if j & 1:
+            jump_m, jump_s = jump_m * a % 2**128, (jump_s * a + s) % 2**128
+        j, a, s = j >> 1, a * a % 2**128, s * (a + 1) % 2**128
+    return jump_m, jump_s
+
+
+def _limbs(values: list[int]) -> np.ndarray:
+    """128-bit constants as uint64 (high, low, low's low 32 bits, low's high
+    32 bits) on a leading axis of 4."""
+    raw = b"".join([v.to_bytes(16, "little") for v in values])
+    limbs = np.empty((4, len(values)), dtype=np.uint64)
+    limbs[1], limbs[0] = np.frombuffer(raw, dtype="<u8").reshape(-1, 2).T
+    limbs[2:] = np.frombuffer(raw, dtype="<u4").reshape(-1, 4).T[:2]
+    return limbs
+
+
+def _mul128(x, a, out, tmp) -> None:
+    """out = x a mod 2^128 on uint64 (high, low) pairs: x an array pair and a
+    its _limbs, each broadcast to out's shape.  tmp is two scratch arrays of
+    that shape, so no array is allocated; out must not overlap x.  The low
+    halves' full product goes through 32-bit limbs x0, x1 and a0, a1."""
+    (xh, xl), (ah, al, a0, a1), (hi, lo), (t0, t1) = x, a, out, tmp
+    np.bitwise_and(xl, _M32, out=t0)
+    np.multiply(t0, a0, out=lo)  # x0 a0
+    np.multiply(t0, a1, out=t0)  # x0 a1
+    np.right_shift(lo, 32, out=lo)
+    np.bitwise_and(t0, _M32, out=hi)
+    np.add(lo, hi, out=lo)
+    np.right_shift(t0, 32, out=t0)
+    np.right_shift(xl, 32, out=t1)
+    np.multiply(t1, a0, out=hi)  # x1 a0
+    np.multiply(t1, a1, out=t1)  # x1 a1
+    np.add(t1, t0, out=t1)
+    np.bitwise_and(hi, _M32, out=t0)
+    np.add(lo, t0, out=lo)  # the middle column
+    np.right_shift(hi, 32, out=hi)
+    np.add(t1, hi, out=t1)
+    np.right_shift(lo, 32, out=lo)
+    np.add(t1, lo, out=t1)  # the high half of xl al
+    np.multiply(xh, al, out=hi)
+    np.add(hi, t1, out=hi)
+    np.multiply(xl, ah, out=t1)
+    np.add(hi, t1, out=hi)
+    np.multiply(xl, al, out=lo)
+
+
+def _add128(x, y, carry) -> None:
+    """x += y mod 2^128 in place on uint64 (high, low) pairs, y broadcast to
+    x's shape; carry is a bool scratch array of that shape."""
+    np.add(x[1], y[1], out=x[1])
+    np.less(x[1], y[1], out=carry)
+    np.add(x[0], y[0], out=x[0])
+    np.add(x[0], carry, out=x[0])
+
+
+_DOUBLING = _jump(H)
 
 
 def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int,
@@ -190,22 +242,25 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int,
     state s and sequence; only these two hashes are replayed.  PCG64 seeds
     its LCG x -> M x + c, c = 2 sequence + 1, by one step from 0, adding s
     and one more step, so its m-th output comes from state j = m + 2,
-    M^j (s + c) + (sum_{i<j} M^i) c mod 2^128, through the XSL-RR output;
-    each 64-bit output gives two 32-bit words, low half first.  The first
-    state needed is computed by that formula and the rest by doubling: the
-    h states after the first h are M^h times them plus (sum_{i<h} M^i) c,
-    for h = 1, 2, 4, ..., one product by a 128-bit constant per state.
+    M^j (s + c) + S_j c = M^j s + S_{j+1} c mod 2^128, through the XSL-RR
+    output; each 64-bit output gives two 32-bit words, low half first.  One
+    128-bit product of every trial's stacked (s, c) by per-row constants
+    (M^j, S_{j+1}) gives the first min(outputs, H) states.  A longer draw
+    doubles from there: step h = H, 2H, 4H, ... gives the h states after
+    the first h as M^h times them plus S_h c, which the first product's
+    extra rows, of constants (0, S_h), give.  The products, the output and
+    the scaling write into buffers made once per call.
     integers(0, q) maps word u to u q >> 32, but rejects u when u q mod
     2^32 < 2^32 mod q: the draw holds words r k n .. (r + 1) k n - 1 only
     when none of words 0 .. (r + 1) k n - 1 was rejected.  Only this round's
     words are computed and checked, since flagged carries the earlier
     rounds' verdicts; a power of 2 never rejects.  A trial with a rejected
     word, or an index of 2^32 or more (two spawn words), is flagged and
-    drawn through trial_rng instead.  The arrays hold about k n / 2 outputs
+    drawn through trial_rng instead.  The buffers hold about 4 k n words
     per trial, so the caller bounds their size by the trials it passes:
     _candidates passes one batch.
     """
-    kn, count = k * n, (r + 1) * k * n
+    kn, count, size = k * n, (r + 1) * k * n, len(trials)
     pool = np.random.SeedSequence(seed).pool  # refuses a negative seed
     # the spawn word's hash constants follow the ones that built the pool:
     # 4 to fill the pool, 12 to mix it, and 4 per seed word past the fourth
@@ -222,38 +277,65 @@ def _trial_draws(seed: int, trials: np.ndarray, r: int, q: int, k: int, n: int,
     v = (np.concatenate([v, v], axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
     v ^= v >> 16
     words = v.astype("<u4").view("<u8").astype(np.uint64)  # s high, s low, seq high, low
-    inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
-    x = _add128(inc, (words[:, 0], words[:, 1]))
-    reject = 2**32 % q
+    # x[high/low, (s, c), 1, trial]
+    x = np.empty((2, 2, 1, size), dtype=np.uint64)
+    x[:, 0, 0] = words[:, :2].T
+    x[0, 1, 0], x[1, 1, 0] = words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1
     m0 = r * kn // 2  # the first output holding a word to read
     outputs = (count + 1) // 2 - m0
-    # j steps of x -> M x + c take x to M^j x + S_j c, S_j = sum_{i<j} M^i;
-    # the binary powers (a, s) = (M^h, S_h) compose into j = m0 + 2
-    j, a, s, jump_m, jump_s = m0 + 2, _PCG_MULT, 1, 1, 0
-    while j:
-        if j & 1:
-            jump_m, jump_s = jump_m * a % 2**128, (jump_s * a + s) % 2**128
-        j, a, s = j >> 1, a * a % 2**128, s * (a + 1) % 2**128
-    # the output states, one row per output: state m0 + 2 by the jump, then
-    # each doubling step fills the next h rows from the first h
-    st_h = np.empty((outputs, len(trials)), dtype=np.uint64)
-    st_l = np.empty_like(st_h)
-    st_h[0], st_l[0] = _add128(_mul_const(*x, jump_m), _mul_const(*inc, jump_s))
-    h, a, s = 1, _PCG_MULT, 1
+    rows = min(outputs, H)
+    # a draw of more than H outputs doubles with h = H, 2H, 4H, ...
+    steps, (m, s), h = [], _DOUBLING, rows
     while h < outputs:
+        steps.append((m, s))
+        m, s, h = m * m % 2**128, s * (m + 1) % 2**128, 2 * h
+    # product row i < rows is state m0 + 2 + i, row rows + l S_h c of step l
+    mults, sums = [], []
+    m, s = _jump(m0 + 2)
+    for _ in range(rows):
+        s = (s + m) % 2**128
+        mults.append(m)
+        sums.append(s)
+        m = m * _PCG_MULT % 2**128
+    width = rows + len(steps)
+    consts = _limbs(mults + [0] * len(steps) + sums + [s for _, s in steps])
+    # st[high/low, (s, c) part, row, trial]: part 0 ends up holding the
+    # states, part 1 the S_h c rows; tmp is scratch, then the scaled words
+    st = np.empty((2, 2, outputs, size), dtype=np.uint64)
+    tmp = np.empty((2, 2 * outputs * size), dtype=np.uint64)
+    carry = np.empty((outputs, size), dtype=bool)
+    _mul128(x, consts.reshape(4, 2, width, 1), st[:, :, :width],
+            tmp[:, :2 * width * size].reshape(2, 2, width, size))
+    state = st[:, 0]
+    _add128(state[:, :rows], st[:, 1, :rows], carry[:rows])
+    h = rows
+    for l, (m, _) in enumerate(steps):
         top = min(2 * h, outputs)
-        st_h[h:top], st_l[h:top] = _add128(
-            _mul_const(st_h[:top - h], st_l[:top - h], a), _mul_const(*inc, s))
-        h, a, s = 2 * h, a * a % 2**128, s * (a + 1) % 2**128
-    v, rot = st_h ^ st_l, st_h >> 58
-    out = v >> rot | v << (-rot & 63)
-    stream = out.T.astype("<u8", order="C").view("<u4")  # each output's low half first
+        _mul128(state[:, :top - h], _limbs([m])[:, :, None], state[:, h:top],
+                tmp[:, :(top - h) * size].reshape(2, top - h, size))
+        _add128(state[:, h:top], st[:, 1, rows + l:rows + l + 1], carry[:top - h])
+        h = top
+    # XSL-RR: (high ^ low) rotated right by high >> 58, into low
+    high, low = state
+    shifted = tmp[0, :outputs * size].reshape(outputs, size)
+    np.bitwise_xor(high, low, out=low)
+    np.right_shift(high, 58, out=high)
+    np.right_shift(low, high, out=shifted)
+    np.subtract(64, high, out=high)
+    np.bitwise_and(high, 63, out=high)
+    np.left_shift(low, high, out=low)
+    np.bitwise_or(low, shifted, out=low)
+    # each trial's words, each output's low half first, times q
+    halves = low.astype("<u8", copy=False).view("<u4").reshape(outputs, size, 2)
+    scaled = tmp[1].reshape(size, 2 * outputs)
+    np.multiply(halves.transpose(1, 0, 2), np.uint64(q), out=scaled.reshape(size, outputs, 2))
     lo = r * kn - 2 * m0  # this round's first word in the stream
-    scaled = stream[:, lo:lo + kn].astype(np.uint64) * q
+    scaled = scaled[:, lo:lo + kn]
+    gens = (scaled >> 32).view(np.int64).reshape(size, k, n)
     flagged = flagged | (trials >> 32 != 0)
+    reject = 2**32 % q
     if reject:
-        flagged |= ((scaled & _M32) < reject).any(axis=1)
-    gens = (scaled >> 32).astype(np.int64).reshape(-1, k, n)
+        flagged |= (np.bitwise_and(scaled, _M32, out=scaled) < reject).any(axis=1)
     for i in np.flatnonzero(flagged):
         rng = trial_rng(seed, int(trials[i]))
         gens[i] = next(itertools.islice(_draws(q, k, n, rng), r, None))
@@ -299,21 +381,26 @@ def _full_batch(q: int, k: int) -> int:
 
 
 def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
-                supports: bool):
+                supports: bool, accept=None):
     """Yield (first index, generators (B, k, n), histograms, QM verdicts or
     None without supports) for candidates lo..hi-1 in batches of
     most = min(full batch, BLOCK_ROWS // (k n)) consecutive candidates, at
     least one, and fewer only in the last: a batch holds at most BLOCK_ROWS
-    projective words and BLOCK_ROWS matrix entries.  An early witness costs
-    at most one batch of draws, weight passes and redraw rounds.
+    projective words and BLOCK_ROWS matrix entries.
 
     Candidate i is trial i's code in random mode and the i-th systematic
     generator in exhaustive mode.  Random draws come from _trial_draws, one
     call per batch and round, which carries each trial's trial_rng flag
     from round to round.  A rank-deficient draw (bin 0 not empty) is
     replaced by its trial's next draw: the batch's deficient trials draw
-    again together until each has full rank.  [I | A] has full rank, so
-    exhaustive batches never redraw."""
+    again together until each has full rank.  accept, for a scan, maps a
+    batch's (histograms, QM verdicts) to each candidate's verdict, full
+    rank included; then only the deficient trials below the batch's first
+    accepted candidate draw again, since the scan takes that one, and the
+    candidates after it may stay rank deficient.  An early witness thus
+    costs one batch of draws and weight passes, plus the redraw rounds of
+    the trials before it.  [I | A] has full rank, so exhaustive batches
+    never redraw."""
     fld = build_field(q)
     most = max(1, min(_full_batch(q, k), codes.BLOCK_ROWS // (k * n)))
     for first in range(lo, hi, most):
@@ -324,33 +411,43 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
         else:
             gens = _systematic(q, k, n, first, top)
         hist, qm = _histograms(fld, gens.transpose(1, 0, 2), supports)
-        redrawn = np.flatnonzero(hist[:, 0])
         r = 0
-        while len(redrawn):  # one pass per round of redraws
+        while len(redrawn := _redrawn(hist, qm, accept)):  # one pass per round
             r += 1
             gens[redrawn], flagged[redrawn] = _trial_draws(seed, first + redrawn, r, q, k, n,
                                                            flagged[redrawn])
             hist[redrawn], found = _histograms(fld, gens[redrawn].transpose(1, 0, 2), supports)
             if supports:
                 qm[redrawn] = found
-            redrawn = redrawn[hist[redrawn, 0] > 0]
         yield first, gens, hist, qm
+
+
+def _redrawn(hist: np.ndarray, qm, accept) -> np.ndarray:
+    """The batch's rank-deficient candidates, or with accept those below
+    its first accepted candidate."""
+    deficient = np.flatnonzero(hist[:, 0])
+    if accept is not None and len(deficient):
+        hits = np.flatnonzero(accept(hist, qm))
+        if len(hits):
+            return deficient[deficient < hits[0]]
+    return deficient
 
 
 def _scan_chunk(args) -> tuple[int, str, int] | None:
     """Scan candidates lo..hi-1 and return (index, matrix text, minimum
     distance) for the first accepted one, or None.  The verdicts are read off
-    each batch's histograms: MWS when no bin holds two words, QM from the
-    pass's QM verdicts (always over GF(2)); the minimum distance is the
-    first nonzero bin after bin 0."""
+    each batch's histograms: full rank when bin 0 is empty, MWS when no bin
+    holds two words, QM from the pass's QM verdicts (always over GF(2));
+    the minimum distance is the first nonzero bin after bin 0."""
     q, k, n, mode, seed, target, lo, hi = args
     supports = target == "qm" and q > 2
-    for first, gens, hist, qm in _candidates(q, k, n, mode, seed, lo, hi, supports):
-        if target == "mws":
-            ok = (hist <= 1).all(axis=1)
-        else:
-            ok = qm if supports else np.full(len(hist), True)
-        hits = np.flatnonzero(ok)
+
+    def accept(hist, qm):
+        ok = (hist <= 1).all(axis=1) if target == "mws" else qm if supports else True
+        return (hist[:, 0] == 0) & ok
+
+    for first, gens, hist, qm in _candidates(q, k, n, mode, seed, lo, hi, supports, accept):
+        hits = np.flatnonzero(accept(hist, qm))
         if len(hits):
             j = int(hits[0])
             distance = int(np.flatnonzero(hist[j, 1:])[0]) + 1
@@ -549,6 +646,8 @@ def estimate_expectation(
     var = max(total_sq / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / samples)
     bound = eqbound_value(q, k, n)
+    with _unlimited_int_str():  # from n of about 4600 on, past the default 4300 digits
+        bound_exact = f"{bound.numerator}/{bound.denominator}"
     return ExpectationEstimate(
         q=q,
         k=k,
@@ -558,7 +657,7 @@ def estimate_expectation(
         mean=mean,
         stderr=stderr,
         bound=float(bound),
-        bound_exact=f"{bound.numerator}/{bound.denominator}",
+        bound_exact=bound_exact,
         mws_fraction=hits / samples,
         wall_clock_seconds=time.monotonic() - t0,
     )

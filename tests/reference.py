@@ -1,10 +1,12 @@
-"""Slow reference oracles for the enumeration core in mwscodes.codes, for
-the threshold scan and its binomial sum in mwscodes.bounds, and for the
-irreducibility test in mwscodes.gf.
+"""Slow reference oracles for the enumeration core and the rank in
+mwscodes.codes, for the threshold scan and its binomial sum in
+mwscodes.bounds, and for the irreducibility test in mwscodes.gf.
 
 Messages come from the recursive generator the library used before its
 block enumerator, and words from per-message `codeword`; weights and
-supports are then counted one word at a time.  The threshold scan is the
+supports are then counted one word at a time.  The rank is the scalar
+Gaussian elimination the library used before its numpy rows, one field
+operation at a time.  The threshold scan is the
 exact big-integer scan the library used before its interval scan, and the
 binomial sum is its one-line definition.  Irreducibility is decided by
 trial division, as the library did before Rabin's test.
@@ -75,6 +77,30 @@ def is_mws(code) -> bool:
 def is_qm(code) -> bool:
     ws = words(code)
     return len({support(w) for w in ws}) == len(ws)
+
+
+def gf_rank(fld, rows) -> int:
+    """Rank of a matrix over GF(q) by scalar Gaussian elimination."""
+    mat = [list(r) for r in rows]
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if mat else 0
+    rank = 0
+    col = 0
+    while rank < n_rows and col < n_cols:
+        pivot = next((r for r in range(rank, n_rows) if mat[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = fld.inv(mat[rank][col])
+        mat[rank] = [fld.mul(inv, x) for x in mat[rank]]
+        for r in range(n_rows):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def binom_sq_sum(n: int, q: int) -> int:

@@ -352,6 +352,18 @@ def test_montecarlo(capsys):
     validate(payload, "montecarlo_report.schema.json")
 
 
+def test_montecarlo_writes_an_exact_bound_past_4300_digits(capsys):
+    # at n = 4600 the exact bound's numerator and denominator have more
+    # digits than Python's default int-to-str limit; the input is valid
+    status, payload = run(capsys, "montecarlo", "--q", "3", "--k", "2", "--n", "4600",
+                          "--samples", "1", "--seed", "0")
+    assert status == 0
+    bound = bounds_mod.eqbound_value(3, 2, 4600)
+    with cli._unlimited_int_str():
+        assert payload["bound_exact"] == f"{bound.numerator}/{bound.denominator}"
+        assert len(str(bound.denominator)) > 4300
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_montecarlo_rejects_fewer_than_one_sample(capsys, samples):
     status, payload = run(capsys, "montecarlo", "--q", "2", "--k", "2", "--n", "8",

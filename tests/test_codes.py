@@ -1,9 +1,11 @@
 """Linear code primitives: encodings, spectra, predicates, file format."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+import reference
 
 from mwscodes import (
     EnumerationTooLargeError,
@@ -136,6 +138,24 @@ def test_rank_deficient_generator_rejected():
         make_code(2, [[1, 0, 1], [1, 0, 1]])
     with pytest.raises(RankDeficientError):
         make_code(3, [[1, 2, 0], [2, 1, 0]])  # row 2 = 2 * row 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 243, 512, 2187])
+def test_gf_rank_matches_scalar_elimination(q):
+    # a k x r times r x n product has rank at most r, so r < min(k, n)
+    # makes it rank deficient; zero rows, columns and entries come along
+    fld = build_field(q)
+    rng = np.random.default_rng(q)
+    ranks = set()
+    for _ in range(150):
+        k, n, r = rng.integers(1, 7), rng.integers(1, 10), rng.integers(0, 7)
+        left, right = rng.integers(0, q, (k, r)).tolist(), rng.integers(0, q, (r, n)).tolist()
+        rows = [[functools.reduce(fld.add, (fld.mul(a[t], right[t][j]) for t in range(r)), 0)
+                 for j in range(n)] for a in left]
+        rank = reference.gf_rank(fld, rows)
+        assert codes.gf_rank(fld, rows) == rank
+        ranks.add((rank, rank == min(k, n)))
+    assert {(0, False), (1, True), (2, False), (3, True)} <= ranks
 
 
 def test_bad_multiplicities_rejected():

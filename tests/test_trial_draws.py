@@ -19,6 +19,8 @@ from mwscodes import (
     codes,
     estimate_expectation,
     gv_qm_search,
+    is_mws,
+    is_qm,
     random_code,
     search,
     trial_rng,
@@ -30,8 +32,12 @@ QS = [2, 3, 4, 5, 7, 8, 9, 25, 27, 243, 256, 257, 2187]
 # seeds of 1, 2, 3, 4, 5 and 7 32-bit words: SeedSequence's pool holds 4,
 # and every word past the fourth takes 4 more hash constants
 SEEDS = [0, 2**32, 2**64 + 3, 2**127 + 5, 3**90, 2**200 + 7]
-# k = 1..4 with n up to 30, k n odd and even
-SHAPES = [(1, 1), (1, 4), (1, 29), (2, 3), (2, 30), (3, 3), (3, 8), (3, 29), (4, 4), (4, 30)]
+H = search_mod.H
+# k = 1..4 with n up to 30, k n odd and even, and draws around the H states
+# of the first product: 2 n outputs = H - 1, H, H + 1, 2 H and 2 H + 1 (and
+# H + 1 in every round of k n = 2 H + 1)
+SHAPES = [(1, 1), (1, 4), (1, 29), (2, 3), (2, 30), (3, 3), (3, 8), (3, 29), (4, 4), (4, 30),
+          (2, H - 1), (2, H), (2, H + 1), (1, 2 * H + 1), (2, 2 * H), (2, 2 * H + 1)]
 ROUNDS = range(4)
 
 
@@ -84,6 +90,41 @@ def test_kernel_matches_trial_rng(q, seed, monkeypatch):
     rng = np.random.default_rng(q)
     trials = [0, 1, 2**31 - 1, 2**32 - 1] + rng.integers(0, 2**32, 4).tolist()
     check_against_reference(seed, trials, q, monkeypatch)
+
+
+@pytest.mark.parametrize("q", [3, 7, 256])
+def test_kernel_matches_trial_rng_on_long_draws(q, monkeypatch):
+    # (2, 1757), the GV length of (7, 2): 1757 outputs, seven doubling steps
+    calls = record_trial_rngs(monkeypatch)
+    trials = np.array([0, 5, 2**31 + 1])
+    flagged = np.zeros(3, dtype=bool)
+    for r in range(2):
+        start = len(calls)
+        gens, flagged = search_mod._trial_draws(4242, trials, r, q, 2, 1757, flagged)
+        expected = [reference_rejected(4242, int(t), r, q, 2, 1757) for t in trials]
+        assert flagged.tolist() == expected
+        assert calls[start:] == [t for t, slow in zip(trials.tolist(), expected) if slow]
+        for j, t in enumerate(trials.tolist()):
+            assert np.array_equal(gens[j], reference_draw(4242, t, r, q, 2, 1757))
+
+
+@pytest.mark.parametrize("k,n,products", [(2, 9, 1), (1, 1, 1), (2, H, 1), (2, H + 1, 2),
+                                          (2, 2 * H, 2), (2, 2 * H + 1, 3), (2, 1757, 8)])
+def test_kernel_takes_one_product_up_to_h_outputs(k, n, products, monkeypatch):
+    # a draw of at most H outputs takes all its states from one 128-bit
+    # product, and each doubling step past H takes one more
+    counted = []
+    real = search_mod._mul128
+
+    def counting(*args):
+        counted.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(search_mod, "_mul128", counting)
+    for r in range(3):
+        counted.clear()
+        search_mod._trial_draws(5, np.arange(4), r, 4, k, n, np.zeros(4, dtype=bool))
+        assert len(counted) == products
 
 
 @pytest.mark.parametrize("q", [3 * 2**30, 5 * 2**29 + 1, 2**31 + 1])
@@ -213,6 +254,37 @@ def test_an_early_witness_draws_at_most_one_window(q, k, n, gv, block_rows, monk
     assert draws[0] == ("draw", 0, batch_bound(q, k, n))
     assert [r for _, r, _ in draws] == list(range(len(draws)))
     assert calls[1::2] == [("hist", size) for _, _, size in draws]
+
+
+def test_an_accepted_first_trial_takes_no_redraw_round(monkeypatch):
+    # trial 0 of this GV search has full rank and is QM, so its batch of 50
+    # trials is drawn and counted once: the deficient trials after it are
+    # not redrawn, and the payload is the one every draw would give
+    calls = record_calls(monkeypatch)
+    report = gv_qm_search(2, 4, trials=50, seed=1837932929)
+    assert calls == [("draw", 0, 50), ("hist", 50)]
+    del report["wall_clock_seconds"]
+    assert report == {
+        "q": 2, "k": 4, "n": 4, "target": "qm", "seed": 1837932929, "trials": 50,
+        "found": True, "witness_trial": 0, "acceptance_path": "sufficient_dn",
+        "witness": {"matrix": "2 4 4\n1 1 0 0\n1 1 1 0\n1 0 1 0\n0 1 0 1\n",
+                    "has_zero_column": False}}
+
+
+@pytest.mark.parametrize("q,k,n,target", [(2, 4, 4, "qm"), (3, 2, 6, "mws"), (2, 3, 7, "mws"),
+                                          (4, 2, 10, "mws"), (3, 2, 3, "qm"), (4, 2, 4, "qm")])
+def test_redraws_below_the_witness_keep_every_witness(q, k, n, target, monkeypatch):
+    # the scan redraws only the deficient trials before a batch's first
+    # accepted one; its witness and candidate count are those of a scan
+    # over trial_rng's codes, whatever the batch size
+    monkeypatch.setattr(codes, "BLOCK_ROWS", 40)
+    accepts = is_mws if target == "mws" else is_qm
+    expected = next(t for t in range(10**4) if accepts(random_code(q, k, n, trial_rng(8, t))))
+    report = search(SearchConfig(q=q, k=k, n_lo=n, n_hi=n, target=target, trials=10**4, seed=8))
+    entry = report["lengths"][0]
+    assert entry["witness_trial"] == expected and entry["candidates_examined"] == expected + 1
+    assert entry["witness"]["matrix"].split("\n", 1)[1].split() == [
+        str(x) for row in random_code(q, k, n, trial_rng(8, expected)).generator for x in row]
 
 
 @pytest.mark.parametrize("block_rows", [None, 40])
