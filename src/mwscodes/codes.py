@@ -82,8 +82,8 @@ class RankDeficientError(ValueError):
 def gf_rank(fld: GF, rows) -> int:
     """Rank of a matrix over GF(q) by Gaussian elimination on numpy rows.
 
-    The matrix is held transposed, one array row per column, so its first
-    nonzero entry in column order is one argmax.  Each step takes that
+    The matrix is held transposed, one array row per column, so its
+    nonzero entries come in column order.  Each step takes the first
     entry as the pivot v, in column c and row r, subtracts (f / v) times
     row r from each other row with an entry f != 0 in column c, and clears
     row r; the rank is the number of steps.  Over a prime field the
@@ -91,15 +91,13 @@ def gf_rank(fld: GF, rows) -> int:
     log/exp tables; differences are XOR for p = 2, mod p for prime q and
     mod p on base-p digits otherwise."""
     k = len(rows)
-    mat = np.array(rows, dtype=np.int64, ndmin=2).T.copy()
+    mat = np.array(rows, dtype=np.int64, ndmin=2, order="F").T
     rank = 0
-    while rank < k and mat.size:
-        nonzero = mat != 0
-        first = int(nonzero.argmax())
-        if not nonzero.flat[first]:
-            break
+    while len(entries := np.flatnonzero(mat)):
         rank += 1
-        col, row = divmod(first, k)
+        if rank == k:
+            break
+        col, row = divmod(int(entries[0]), k)
         factors, pivots, mat = mat[col], mat[col + 1:, row, None], mat[col + 1:]
         v, factors[row] = int(factors[row]), 0
         others = np.flatnonzero(factors)  # the rows to clear in column c
