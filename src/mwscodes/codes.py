@@ -32,22 +32,25 @@ multiplicities, short k >= 3 codes and QM for k >= 4.  With rows
 g_0..g_{k-1}, the words whose message starts at coordinate i are
 g_i + span(g_{i+1..k-1}), and each span is the next one plus c g_j for every
 c in GF(q): words are built by adding rows, never by multiplying messages.
-A binary word is a uint64 bit set, 64 columns to a limb (_bit_sets): XOR
-adds it, its popcount is its weight and it is its own support key.  Other
-words are added by XOR on the elements for p = 2, mod p on the elements for
-prime q, and mod p on base-p digits otherwise.  Words come in blocks of at
-most BLOCK_ROWS rows (codeword_matrix, which unpacks binary words unless
-asked not to): a larger code reuses the span of its last rows for every
-prefix of the leading ones.  A binary block holds rows x ceil(n / 64) limbs;
-any other rows x n entries (x m digits when added digit by digit), one byte
-each while two of them sum below 256, plus the mask, weights and support
-keys made from it.
+Over characteristic p <= 3 a word is a row of uint64 bit planes, 64 columns
+to a limb (_lift): one plane per base-p digit and nonzero digit value, of
+the columns that hold that digit.  XOR adds words for p = 2; for p = 3 six
+logic operations on the "digit = 1" and "digit = 2" planes add them, and
+swapping the two negates (_add).  The OR of a word's planes is its support
+as a bit set (_key): its popcount is the word's weight, and it is the
+support key.  Other words are added mod p, on the elements for prime q and
+on base-p digits otherwise.  Words come in blocks of at most BLOCK_ROWS rows
+(codeword_matrix, which unpacks plane words unless asked not to): a larger
+code reuses the span of its last rows for every prefix of the leading ones.
+A plane block holds rows x (p - 1) m ceil(n / 64) limbs; any other rows x n
+entries (x m digits when added digit by digit), one byte each while two of
+them sum below 256, plus the mask, weights and support keys made from it.
 
 Both passes take a stack of B generators, shape (k, B, n): a single code is
 a stack of one (_enumerate), and searches stack their candidates B at a
 time (_histograms).  A plain code's weights are an offset bincount with
 n + 1 bins per code; only a code with multiplicities, whose weights can
-exceed n, counts its weights (_weights) in a Counter instead.
+exceed n, counts its distinct weights (_weights, _count) instead.
 """
 
 from __future__ import annotations
@@ -220,15 +223,15 @@ def codeword(code: LinearCode, message) -> tuple[int, ...]:
 # -- block enumeration --------------------------------------------------------
 
 def _digit_form(fld: GF) -> bool:
-    """Words are added digit by digit only when neither XOR (p = 2) nor
-    addition mod p (m = 1) works on the elements themselves."""
-    return fld.p > 2 and fld.m > 1
+    """Words are added digit by digit only when neither bit planes (p <= 3)
+    nor addition mod p (m = 1) works on the elements themselves."""
+    return fld.p > 3 and fld.m > 1
 
 
 def _packed(fld: GF) -> bool:
-    """Binary words are held as uint64 bit sets (_bit_sets), whose XOR adds
-    them and whose popcount is their weight."""
-    return fld.q == 2
+    """Words over characteristic 2 and 3 are held as uint64 bit planes
+    (_lift)."""
+    return fld.p <= 3
 
 
 def _bit_sets(mask: np.ndarray) -> np.ndarray:
@@ -244,32 +247,85 @@ def _bit_sets(mask: np.ndarray) -> np.ndarray:
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     """Bit sets (_bit_sets) back to their n columns of 0s and 1s, as uint8."""
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), bitorder="little")
     return bits.reshape(*words.shape[:-1], -1)[..., :n]
 
 
+def _planes(fld: GF, words: np.ndarray) -> np.ndarray:
+    """Plane words (_lift) with their (p - 1) m planes on an axis of their
+    own, before the limbs."""
+    return words.reshape(*words.shape[:-1], (fld.p - 1) * fld.m, -1)
+
+
+def _key(fld: GF, words: np.ndarray) -> np.ndarray:
+    """The OR of each plane word's planes: its support as a bit set."""
+    return words if fld.q == 2 else np.bitwise_or.reduce(_planes(fld, words), axis=-2)
+
+
+def _elements(fld: GF, words: np.ndarray, n: int) -> np.ndarray:
+    """Plane words (_lift) back to their n columns of field elements."""
+    values = (np.arange(1, fld.p)[:, None] * fld.x_powers).ravel()  # plane (c - 1) m + r
+    return (values @ _unpack(_planes(fld, words), n)).astype(np.min_scalar_type(fld.q - 1))
+
+
+def _zeros(fld: GF, shape, dtype) -> np.ndarray:
+    """Zeros of shape (words, ..., columns), held column-major for p <= 3,
+    the limbs of the planes outermost, so that each logic operation on
+    plane words runs along the words."""
+    if not _packed(fld):
+        return np.zeros(shape, dtype)
+    return np.moveaxis(np.zeros((shape[-1], *shape[:-1]), dtype), 0, -1)
+
+
 def _lift(fld: GF, elements) -> np.ndarray:
-    """Elements in the form words are added in: uint64 bit sets for q = 2
-    (_packed), digits for _digit_form, else the elements themselves, in the
-    smallest dtype that holds the sum of two entries: uint8 only below 128."""
+    """Elements in the form words are added in.  For p <= 3 (_packed) these
+    are (p - 1) m bit planes (_bit_sets) in a row on the last axis, plane
+    (c - 1) m + r holding the columns whose base-p digit r is c.  Otherwise
+    digits for _digit_form, else the elements themselves, in the smallest
+    dtype that holds the sum of two entries: uint8 only below 128."""
     if _packed(fld):
-        return _bit_sets(np.asarray(elements) != 0)
+        digits = np.moveaxis(fld.digits(elements), -1, -2)  # (..., m, n)
+        planes = _bit_sets(digits[..., None, :, :] == np.arange(1, fld.p)[:, None, None])
+        planes = planes.reshape(*planes.shape[:-3], -1)
+        basis = _zeros(fld, planes.shape, planes.dtype)
+        basis[...] = planes
+        return basis
     if _digit_form(fld):
         return fld.digits(elements).astype(np.min_scalar_type(2 * fld.p - 2))
     return np.asarray(elements).astype(np.min_scalar_type(2 * fld.q - 2))
 
 
-def _add(fld: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a ^ b if fld.p == 2 else (a + b) % fld.p
+def _add(fld: GF, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a + b, into out if given: XOR for p = 2, and for p = 3 six logic
+    operations on the "digit = 1" and "digit = 2" halves of the planes
+    (Kawahara, Aoki & Takagi, Pairing 2008).  Other entries sum to s < 2p,
+    and s - p wraps exactly when s < p, so the smaller of the two is s mod p."""
+    if fld.p == 2:
+        return np.bitwise_xor(a, b, out=out)
+    if fld.p == 3:
+        h = a.shape[-1] // 2
+        a1, a2, b1, b2 = a[..., :h], a[..., h:], b[..., :h], b[..., h:]
+        out = _zeros(fld, np.broadcast_shapes(a.shape, b.shape), a.dtype) if out is None else out
+        t = (a1 | b2) ^ (a2 | b1)
+        np.bitwise_xor(a2 | b2, t, out=out[..., :h])
+        np.bitwise_xor(a1 | b1, t, out=out[..., h:])
+        return out
+    s = np.add(a, b, out=out)
+    return np.minimum(s, s - fld.p, out=s)
 
 
-def _grow(fld: GF, span: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """span(b, span's words): c b + span for each c in GF(p) in turn."""
-    if fld.p == 2:  # doubling: the span, then the span plus b
-        return np.concatenate([span, span ^ b])
-    scalars = np.arange(fld.p).reshape(-1, *[1] * b.ndim)
-    multiples = (scalars * b % fld.p).astype(b.dtype)
-    return ((multiples[:, None] + span) % fld.p).reshape(-1, *span.shape[1:])
+def _grow(fld: GF, span: np.ndarray, b: np.ndarray):
+    """Fill parts 1..p-1 of span, cut in p equal parts, with part 0 plus c b
+    for c = 1..p-1 in turn."""
+    head = span[:len(span) // fld.p]
+    parts = span[len(head):].reshape(fld.p - 1, *head.shape)
+    if _packed(fld):
+        _add(fld, head, b, out=parts[0])
+        if fld.p == 3:  # -b: b with its halves of planes swapped
+            _add(fld, head, np.roll(b, b.shape[-1] // 2, axis=-1), out=parts[1])
+    else:
+        scalars = np.arange(1, fld.p).reshape(-1, *[1] * b.ndim)
+        _add(fld, (scalars * b % fld.p).astype(b.dtype)[:, None], head, out=parts)
 
 
 def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
@@ -279,22 +335,22 @@ def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
 
     span(rows from i) is c row_i + span(rows after i) for each c in GF(q) in
     turn, and its c = 1 part, row_i + span(rows after i), holds the words whose
-    message starts at row i; so one pass from the last row up builds both.
-    Over GF(p), adding c row_i for every c is m steps that add c' x^r row_i
-    for every c' in GF(p), r = 0..m-1: the field multiplies only to form the
-    x^r row_i, and not at all for prime q.
+    message starts at row i; so one pass from the last row up builds both,
+    in place in one array.  Over GF(p), adding c row_i for every c is m steps
+    that add c' x^r row_i for every c' in GF(p), r = 0..m-1: the field
+    multiplies only to form the x^r row_i, and not at all for prime q.
     """
     x_powers = fld.x_powers.reshape(-1, *[1] * (rows.ndim - 1))
     basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], x_powers)
     basis = _lift(fld, basis)  # basis[i, r] = x^r row_i
-    span = np.zeros_like(basis[0, :1])
-    parts = []
+    span = _zeros(fld, (fld.q ** (len(rows) - (not with_span)), *basis.shape[2:]), basis.dtype)
+    size, parts = 1, []
     for i in reversed(range(len(rows))):
         if i or with_span:
-            size = len(span)
             for b in basis[i]:
-                span = _grow(fld, span, b)
-            parts.append(span[size:2 * size])
+                _grow(fld, span[:fld.p * size], b)
+                size *= fld.p
+            parts.append(span[size // fld.q:2 * size // fld.q])
         else:
             parts.append(_add(fld, basis[0, 0], span))
     return np.concatenate(parts), span
@@ -339,7 +395,7 @@ def _layout(code: LinearCode):
 
 def _block(fld: GF, layout, block: int) -> np.ndarray:
     """Block `block` of a _stack_layout in the form the block pass reads:
-    field elements, but bit sets for q = 2 (_lift)."""
+    field elements, but bit planes for p <= 3 (_lift)."""
     tail, span, prefixes = layout
     words = tail if block == 0 else _add(fld, prefixes[block - 1], span)
     return words @ fld.x_powers if _digit_form(fld) else words
@@ -349,10 +405,11 @@ def codeword_matrix(code: LinearCode, block: int = 0, packed: bool = False) -> n
     """Enumeration block `block` of the code's projective words: one row per
     word, in lexicographic message order, with n columns of field elements.
     Blocks 0, 1, ... together list projective_representatives' messages.
-    With packed, a binary code's words stay the bit sets the block pass
-    reads (_bit_sets), one row of ceil(n / 64) uint64 limbs each."""
+    With packed, words over characteristic p <= 3 stay the bit planes the
+    block pass reads (_lift), one row of (p - 1) m ceil(n / 64) uint64
+    limbs each."""
     words = _block(code.field, _layout(code), block)
-    return _unpack(words, code.n) if _packed(code.field) and not packed else words
+    return _elements(code.field, words, code.n) if _packed(code.field) and not packed else words
 
 
 def support(word) -> frozenset[int]:
@@ -402,16 +459,25 @@ def _check_guard(q: int, k: int):
         raise EnumerationTooLargeError(f"q^k = {q}**{k} exceeds enumeration guard {limit}")
 
 
-def _weights(multiplicities, mask: np.ndarray) -> list[int]:
+def _weights(multiplicities, mask: np.ndarray) -> np.ndarray:
     """Exact weight of each word, the sum of m_i over its support, from its
     nonzero mask: one int64 product over w-bit limbs of the m_i, with
-    w = 63 - bit_length(n) so that n limbs sum below 2^63."""
+    w = 63 - bit_length(n) so that n limbs sum below 2^63.  The limb sums
+    are joined in int64 when N < 2^63, else into Python integers."""
     w = 63 - len(multiplicities).bit_length()
     shifts = range(0, int(max(multiplicities)).bit_length(), w)
     sums = mask @ np.array([[m >> s & (1 << w) - 1 for m in multiplicities] for s in shifts]).T
-    if len(shifts) > 1:  # join the limb sums into Python integers
-        return (sums.astype(object) @ [1 << s for s in shifts]).tolist()
-    return sums[:, 0].tolist()
+    wide = sum(multiplicities) >= 2**63
+    return sums.astype(object if wide else np.int64) @ [1 << s for s in shifts]
+
+
+def _count(weights: np.ndarray) -> dict[int, int]:
+    """{weight: number of words} in increasing weight order, by np.unique
+    for int64 weights and by a Counter for Python integers."""
+    if weights.dtype == object:
+        counts = Counter(weights.tolist())
+        return {w: counts[w] for w in sorted(counts)}
+    return dict(zip(*(a.tolist() for a in np.unique(weights, return_counts=True))))
 
 
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
@@ -435,24 +501,24 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
 
 def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     """The block pass over a stack of codes of shape (k, B, n), each block
-    (words, B, n) field elements, or (words, B, limbs) bit sets for q = 2:
-    (weights, qm), as _pass returns them.  For one code with
+    (words, B, n) field elements, or (words, B, planes x limbs) bit planes
+    for p <= 3: (weights, qm), as _pass returns them.  For one code with
     multiplicities, whose weights can exceed n and 2^63, weights is instead
-    a Counter of its words' exact weights (_weights).  The supports are
-    compared as bit sets (_bit_sets); a binary word is its own."""
+    the _count of its words' exact weights (_weights).  The supports are
+    compared as bit sets: _bit_sets of the mask, or a plane word's _key."""
     k, count, n = shape
     packed = _packed(fld)
     if multiplicities:
-        weights = Counter()
+        weights = []
     else:
         weights = np.zeros((count, n + 1), dtype=np.int64)
         offsets = (n + 1) * np.arange(count)
     keys = []
     for words in blocks:
-        mask = words if packed else words != 0  # a binary word is its own packed mask
+        mask = _key(fld, words) if packed else words != 0
         if multiplicities:
             rows = _unpack(mask[:, 0], n) if packed else mask[:, 0]
-            weights.update(_weights(multiplicities, rows))
+            weights.append(_weights(multiplicities, rows))
         else:
             sizes = (np.bitwise_count(mask).sum(axis=2, dtype=np.intp) if packed
                      else mask.sum(axis=2))
@@ -461,6 +527,8 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
             weights += flat.reshape(count, n + 1)
         if supports:
             keys.append(mask if packed else _bit_sets(mask))
+    if multiplicities:
+        weights = _count(np.concatenate(weights))
     if not supports:
         return weights, None
     distinct = _distinct_rows(np.concatenate(keys))
@@ -529,7 +597,7 @@ def _incidence(fld: GF, k: int) -> np.ndarray:
     reps = np.array(projective_representatives(fld, k)).T
     words = _words(fld, reps)[0]
     if _packed(fld):
-        words = _unpack(words, len(reps[0]))
+        words = _unpack(_key(fld, words), len(reps[0]))
     zero = ~words.any(axis=-1) if _digit_form(fld) else words == 0
     return np.nonzero(zero)[1].reshape(len(zero), -1)
 
@@ -631,9 +699,10 @@ def _enumerate(code: LinearCode, supports: bool):
 
 def _spectrum(code: LinearCode, weights) -> WeightSpectrum:
     """The spectrum from _enumerate's weights, a histogram row for a plain
-    code and a Counter otherwise; each count scales by q - 1."""
-    pairs = enumerate(weights[0].tolist()) if code.is_plain else sorted(weights.items())
-    return WeightSpectrum({w: c * (code.q - 1) for w, c in pairs if c})
+    code and a _count otherwise; each count scales by q - 1."""
+    q1 = code.q - 1
+    pairs = enumerate(weights[0].tolist()) if code.is_plain else weights.items()
+    return WeightSpectrum({w: c * q1 for w, c in pairs if c})
 
 
 def _histograms(fld: GF, stack: np.ndarray, supports: bool):
@@ -652,7 +721,7 @@ def weight_spectrum(code: LinearCode) -> WeightSpectrum:
     Scalar multiples of a word share weight and support, so only one
     representative per 1-dimensional subspace is counted and each count
     scales by q - 1.  A plain code's words are counted in an (n + 1)-bin
-    histogram, and a code with multiplicities in a Counter (_pass).
+    histogram, and a code with multiplicities by distinct weight (_pass).
     """
     return _spectrum(code, _enumerate(code, supports=False)[0])
 

@@ -158,8 +158,10 @@ def test_weights_never_compute_supports(monkeypatch):
     def boom(mask):
         raise AssertionError("supports computed")
 
-    monkeypatch.setattr(codes, "_bit_sets", boom)  # a q = 4 pass packs only supports
-    code = make_code(4, "small")
+    # a q = 5 pass packs only supports; for p <= 3 the words are packed
+    # planes whose OR is both the mask and the support key
+    monkeypatch.setattr(codes, "_bit_sets", boom)
+    code = make_code(5, "small")
     assert weight_spectrum(code).counts == reference.spectrum(code)
     assert is_mws(code) == reference.is_mws(code)
 

@@ -136,7 +136,9 @@ def test_limb_weights_match_weighted_weight(n, profile, data):
         m = WEIGHT_PROFILES[profile](n)
     rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
     rows += [[True] * n, [False] * n]  # the largest sum, and none
-    assert codes._weights(m, np.array(rows)) == [weighted_weight(r, m) for r in rows]
+    weights = codes._weights(m, np.array(rows))
+    assert weights.tolist() == [weighted_weight(r, m) for r in rows]
+    assert (weights.dtype == np.int64) == (sum(m) < 2**63)  # else Python integers
 
 
 @given(st.sampled_from([2, 3, 4, 5]), st.integers(1, 3))

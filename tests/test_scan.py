@@ -169,8 +169,9 @@ def test_histograms_match_reference_per_candidate(q, monkeypatch):
         assert [h.tolist() for h in hist] == [h for h, _ in expected]
         assert qm.tolist() == [d == points for _, d in expected]
         _, blocks = block_pass(fld, stack.transpose(1, 0, 2), supports=True)
-        # a binary block holds bit sets, which are their own support keys
-        keys = np.concatenate([words if q == 2 else codes._bit_sets(words != 0) for words in blocks])
+        # a block holds (p - 1) m bit planes per word; their OR is its support
+        planes = [words.reshape(*words.shape[:-1], (fld.p - 1) * fld.m, -1) for words in blocks]
+        keys = np.concatenate([np.bitwise_or.reduce(w, axis=-2) for w in planes])
         assert codes._distinct_rows(keys).tolist() == [d for _, d in expected]
     # the point pass, whose QM test reads no supports, agrees
     hist_points, qm_points = codes._point_pass(fld, stack.transpose(1, 0, 2), supports=True)
