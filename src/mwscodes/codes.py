@@ -32,31 +32,28 @@ multiplicities, short k >= 3 codes and QM for k >= 4.  With rows
 g_0..g_{k-1}, the words whose message starts at coordinate i are
 g_i + span(g_{i+1..k-1}), and each span is the next one plus c g_j for every
 c in GF(q): words are built by adding rows, never by multiplying messages.
-Over characteristic p <= 3 a word is a row of uint64 bit planes, 64 columns
-to a limb (_lift): one plane per base-p digit and nonzero digit value, of
-the columns that hold that digit.  XOR adds words for p = 2; for p = 3 six
-logic operations on the "digit = 1" and "digit = 2" planes add them, and
-swapping the two negates (_add).  The OR of a word's planes is its support
-as a bit set (_key): its popcount is the word's weight, and it is the
-support key.  Other words are added mod p, on the elements for prime q and
-on base-p digits otherwise.  Words come in blocks of at most BLOCK_ROWS rows
-(codeword_matrix, which unpacks plane words unless asked not to): a larger
-code reuses the span of its last rows for every prefix of the leading ones.
-A plane block holds rows x (p - 1) m ceil(n / 64) limbs; any other rows x n
-entries (x m digits when added digit by digit), one byte each while two of
-them sum below 256, plus the mask, weights and support keys made from it.
+Over characteristic p <= 3 a word is uint64 bit planes, 64 columns to a
+limb, one per base-p digit and nonzero digit value (_lift).  XOR adds them
+for p = 2, six logic operations on the "digit = 1" and "digit = 2" planes
+for p = 3, where swapping the two negates (_add); their OR is the support
+key, whose popcount is the weight (_key).  Other words are added mod p, on
+the elements for prime q and on base-p digits otherwise.  Words come in
+blocks of at most BLOCK_ROWS rows (codeword_matrix): a larger code reuses
+the span of its last rows for every prefix of the leading ones.  A plane
+block holds rows x (p - 1) m ceil(n / 64) limbs, any other rows x n entries
+(x m digits when added digit by digit) of one byte while two of them sum
+below 256, and the mask, weights and support keys made from them.
 
 Both passes take a stack of B generators, shape (k, B, n): a single code is
 a stack of one (_enumerate), and searches stack their candidates B at a
 time (_histograms).  A plain code's weights are an offset bincount with
 n + 1 bins per code; only a code with multiplicities, whose weights can
-exceed n, counts its distinct weights (_weights, _count) instead.
+exceed n, keeps each word's exact weight (_weights) instead.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -229,8 +226,7 @@ def _digit_form(fld: GF) -> bool:
 
 
 def _packed(fld: GF) -> bool:
-    """Words over characteristic 2 and 3 are held as uint64 bit planes
-    (_lift)."""
+    """Words over characteristic 2 and 3 are uint64 bit planes (_lift)."""
     return fld.p <= 3
 
 
@@ -251,64 +247,48 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return bits.reshape(*words.shape[:-1], -1)[..., :n]
 
 
-def _planes(fld: GF, words: np.ndarray) -> np.ndarray:
-    """Plane words (_lift) with their (p - 1) m planes on an axis of their
-    own, before the limbs."""
-    return words.reshape(*words.shape[:-1], (fld.p - 1) * fld.m, -1)
-
-
 def _key(fld: GF, words: np.ndarray) -> np.ndarray:
-    """The OR of each plane word's planes: its support as a bit set."""
-    return words if fld.q == 2 else np.bitwise_or.reduce(_planes(fld, words), axis=-2)
+    """The OR of each plane word's (p - 1) m planes: its support as a bit set."""
+    planes = words.reshape(*words.shape[:-1], (fld.p - 1) * fld.m, -1)
+    return words if fld.q == 2 else np.bitwise_or.reduce(planes, axis=-2)
 
 
 def _elements(fld: GF, words: np.ndarray, n: int) -> np.ndarray:
     """Plane words (_lift) back to their n columns of field elements."""
     values = (np.arange(1, fld.p)[:, None] * fld.x_powers).ravel()  # plane (c - 1) m + r
-    return (values @ _unpack(_planes(fld, words), n)).astype(np.min_scalar_type(fld.q - 1))
-
-
-def _zeros(fld: GF, shape, dtype) -> np.ndarray:
-    """Zeros of shape (words, ..., columns), held column-major for p <= 3,
-    the limbs of the planes outermost, so that each logic operation on
-    plane words runs along the words."""
-    if not _packed(fld):
-        return np.zeros(shape, dtype)
-    return np.moveaxis(np.zeros((shape[-1], *shape[:-1]), dtype), 0, -1)
+    bits = _unpack(words.reshape(*words.shape[:-1], len(values), -1), n)
+    return (values @ bits).astype(np.min_scalar_type(fld.q - 1))
 
 
 def _lift(fld: GF, elements) -> np.ndarray:
-    """Elements in the form words are added in.  For p <= 3 (_packed) these
-    are (p - 1) m bit planes (_bit_sets) in a row on the last axis, plane
-    (c - 1) m + r holding the columns whose base-p digit r is c.  Otherwise
-    digits for _digit_form, else the elements themselves, in the smallest
-    dtype that holds the sum of two entries: uint8 only below 128."""
+    """Elements in the form words are added in: (p - 1) m bit planes for
+    p <= 3, plane (c - 1) m + r the columns whose base-p digit r is c, digits
+    for _digit_form, else the elements themselves, in the smallest dtype
+    that holds the sum of two entries: uint8 only below 128."""
     if _packed(fld):
-        digits = np.moveaxis(fld.digits(elements), -1, -2)  # (..., m, n)
-        planes = _bit_sets(digits[..., None, :, :] == np.arange(1, fld.p)[:, None, None])
-        planes = planes.reshape(*planes.shape[:-3], -1)
-        basis = _zeros(fld, planes.shape, planes.dtype)
-        basis[...] = planes
-        return basis
+        values = np.asarray(elements)
+        ones = [1] * values.ndim  # digits (m, ...), planes (p - 1, m, ..., limbs)
+        digits = values // fld.x_powers.reshape(-1, *ones) % fld.p if fld.m > 1 else values[None]
+        planes = _bit_sets(digits == np.arange(1, fld.p).reshape(-1, 1, *ones))
+        planes = np.moveaxis(planes, -1, 2).copy()  # column-major, as _words holds them
+        return np.moveaxis(planes.reshape(-1, *planes.shape[3:]), 0, -1)
     if _digit_form(fld):
         return fld.digits(elements).astype(np.min_scalar_type(2 * fld.p - 2))
     return np.asarray(elements).astype(np.min_scalar_type(2 * fld.q - 2))
 
 
 def _add(fld: GF, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """a + b, into out if given: XOR for p = 2, and for p = 3 six logic
-    operations on the "digit = 1" and "digit = 2" halves of the planes
-    (Kawahara, Aoki & Takagi, Pairing 2008).  Other entries sum to s < 2p,
-    and s - p wraps exactly when s < p, so the smaller of the two is s mod p."""
+    """a + b, into out if given: XOR for p = 2; for p = 3 six logic operations
+    on the halves of the planes, "digit = 1" and "digit = 2" (Kawahara, Aoki &
+    Takagi, 2008); else s = a + b < 2p or s - p, the smaller: s - p wraps."""
     if fld.p == 2:
         return np.bitwise_xor(a, b, out=out)
     if fld.p == 3:
-        h = a.shape[-1] // 2
-        a1, a2, b1, b2 = a[..., :h], a[..., h:], b[..., :h], b[..., h:]
-        out = _zeros(fld, np.broadcast_shapes(a.shape, b.shape), a.dtype) if out is None else out
-        t = (a1 | b2) ^ (a2 | b1)
-        np.bitwise_xor(a2 | b2, t, out=out[..., :h])
-        np.bitwise_xor(a1 | b1, t, out=out[..., h:])
+        h, either = a.shape[-1] // 2, a | b  # either = (a1 | b1, a2 | b2)
+        out = np.empty_like(either) if out is None else out
+        t = (a[..., :h] | b[..., h:]) ^ (a[..., h:] | b[..., :h])
+        np.bitwise_xor(either[..., h:], t, out=out[..., :h])
+        np.bitwise_xor(either[..., :h], t, out=out[..., h:])
         return out
     s = np.add(a, b, out=out)
     return np.minimum(s, s - fld.p, out=s)
@@ -319,13 +299,11 @@ def _grow(fld: GF, span: np.ndarray, b: np.ndarray):
     for c = 1..p-1 in turn."""
     head = span[:len(span) // fld.p]
     parts = span[len(head):].reshape(fld.p - 1, *head.shape)
-    if _packed(fld):
-        _add(fld, head, b, out=parts[0])
-        if fld.p == 3:  # -b: b with its halves of planes swapped
-            _add(fld, head, np.roll(b, b.shape[-1] // 2, axis=-1), out=parts[1])
-    else:
-        scalars = np.arange(1, fld.p).reshape(-1, *[1] * b.ndim)
-        _add(fld, (scalars * b % fld.p).astype(b.dtype)[:, None], head, out=parts)
+    if not _packed(fld):  # c b for c = 1..p-1
+        b = (np.arange(1, fld.p).reshape(-1, *[1] * b.ndim) * b % fld.p).astype(b.dtype)[:, None]
+    elif fld.p == 3:  # b and -b, which is b with its halves of planes swapped
+        b = np.stack([b, np.roll(b, b.shape[-1] // 2, axis=-1)])[:, None]
+    _add(fld, head, b, out=parts)
 
 
 def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
@@ -335,15 +313,16 @@ def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
 
     span(rows from i) is c row_i + span(rows after i) for each c in GF(q) in
     turn, and its c = 1 part, row_i + span(rows after i), holds the words whose
-    message starts at row i; so one pass from the last row up builds both,
-    in place in one array.  Over GF(p), adding c row_i for every c is m steps
-    that add c' x^r row_i for every c' in GF(p), r = 0..m-1: the field
-    multiplies only to form the x^r row_i, and not at all for prime q.
+    message starts at row i; so one pass from the last row up builds both.
+    Over GF(p), adding c row_i for every c is m steps that add c' x^r row_i
+    for every c' in GF(p), r = 0..m-1: the field multiplies only to form the
+    x^r row_i, and not at all for prime q.
     """
     x_powers = fld.x_powers.reshape(-1, *[1] * (rows.ndim - 1))
     basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], x_powers)
     basis = _lift(fld, basis)  # basis[i, r] = x^r row_i
-    span = _zeros(fld, (fld.q ** (len(rows) - (not with_span)), *basis.shape[2:]), basis.dtype)
+    shape = (basis.shape[-1], fld.q ** (len(rows) - (not with_span)), *basis.shape[2:-1])
+    span = np.moveaxis(np.zeros(shape, basis.dtype), 0, -1)  # column-major: runs along words
     size, parts = 1, []
     for i in reversed(range(len(rows))):
         if i or with_span:
@@ -406,8 +385,7 @@ def codeword_matrix(code: LinearCode, block: int = 0, packed: bool = False) -> n
     word, in lexicographic message order, with n columns of field elements.
     Blocks 0, 1, ... together list projective_representatives' messages.
     With packed, words over characteristic p <= 3 stay the bit planes the
-    block pass reads (_lift), one row of (p - 1) m ceil(n / 64) uint64
-    limbs each."""
+    block pass reads (_lift), (p - 1) m ceil(n / 64) uint64 limbs a row."""
     words = _block(code.field, _layout(code), block)
     return _elements(code.field, words, code.n) if _packed(code.field) and not packed else words
 
@@ -462,22 +440,13 @@ def _check_guard(q: int, k: int):
 def _weights(multiplicities, mask: np.ndarray) -> np.ndarray:
     """Exact weight of each word, the sum of m_i over its support, from its
     nonzero mask: one int64 product over w-bit limbs of the m_i, with
-    w = 63 - bit_length(n) so that n limbs sum below 2^63.  The limb sums
-    are joined in int64 when N < 2^63, else into Python integers."""
+    w = 63 - bit_length(n) so that n limbs sum below 2^63, joined in int64
+    when N < 2^63 and into Python integers otherwise."""
     w = 63 - len(multiplicities).bit_length()
     shifts = range(0, int(max(multiplicities)).bit_length(), w)
     sums = mask @ np.array([[m >> s & (1 << w) - 1 for m in multiplicities] for s in shifts]).T
     wide = sum(multiplicities) >= 2**63
     return sums.astype(object if wide else np.int64) @ [1 << s for s in shifts]
-
-
-def _count(weights: np.ndarray) -> dict[int, int]:
-    """{weight: number of words} in increasing weight order, by np.unique
-    for int64 weights and by a Counter for Python integers."""
-    if weights.dtype == object:
-        counts = Counter(weights.tolist())
-        return {w: counts[w] for w in sorted(counts)}
-    return dict(zip(*(a.tolist() for a in np.unique(weights, return_counts=True))))
 
 
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
@@ -504,8 +473,8 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     (words, B, n) field elements, or (words, B, planes x limbs) bit planes
     for p <= 3: (weights, qm), as _pass returns them.  For one code with
     multiplicities, whose weights can exceed n and 2^63, weights is instead
-    the _count of its words' exact weights (_weights).  The supports are
-    compared as bit sets: _bit_sets of the mask, or a plane word's _key."""
+    a list of each block's exact word weights (_weights).  The supports are compared as bit
+    sets: _bit_sets of the mask, or a plane word's _key."""
     k, count, n = shape
     packed = _packed(fld)
     if multiplicities:
@@ -527,8 +496,6 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
             weights += flat.reshape(count, n + 1)
         if supports:
             keys.append(mask if packed else _bit_sets(mask))
-    if multiplicities:
-        weights = _count(np.concatenate(weights))
     if not supports:
         return weights, None
     distinct = _distinct_rows(np.concatenate(keys))
@@ -699,9 +666,13 @@ def _enumerate(code: LinearCode, supports: bool):
 
 def _spectrum(code: LinearCode, weights) -> WeightSpectrum:
     """The spectrum from _enumerate's weights, a histogram row for a plain
-    code and a _count otherwise; each count scales by q - 1."""
+    code and otherwise each block's word weights, counted by np.unique (as
+    fast as a Counter on Python integers); each count scales by q - 1."""
     q1 = code.q - 1
-    pairs = enumerate(weights[0].tolist()) if code.is_plain else weights.items()
+    if code.is_plain:
+        pairs = enumerate(weights[0].tolist())
+    else:
+        pairs = zip(*(a.tolist() for a in np.unique(np.concatenate(weights), return_counts=True)))
     return WeightSpectrum({w: c * q1 for w, c in pairs if c})
 
 
