@@ -654,7 +654,7 @@ def _pass(fld: GF, stack: np.ndarray, supports: bool, blocks, multiplicities=Non
 
 def _enumerate(code: LinearCode, supports: bool):
     """The code's _pass, as a stack of one whose blocks come from
-    codeword_matrix, binary words packed: (its weights, whether its supports
+    codeword_matrix, plane words packed: (its weights, whether its supports
     are pairwise distinct, or None without supports)."""
     blocks = (codeword_matrix(code, block, packed=True)[:, None]
               for block in range(_block_count(code.q, code.k)))
