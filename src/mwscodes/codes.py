@@ -266,12 +266,12 @@ def _lift(fld: GF, elements) -> np.ndarray:
     for _digit_form, else the elements themselves, in the smallest dtype
     that holds the sum of two entries: uint8 only below 128."""
     if _packed(fld):
-        values = np.asarray(elements)
-        ones = [1] * values.ndim  # digits (m, ...), planes (p - 1, m, ..., limbs)
-        digits = values // fld.x_powers.reshape(-1, *ones) % fld.p if fld.m > 1 else values[None]
-        planes = _bit_sets(digits == np.arange(1, fld.p).reshape(-1, 1, *ones))
-        planes = np.moveaxis(planes, -1, 2).copy()  # column-major, as _words holds them
-        return np.moveaxis(planes.reshape(-1, *planes.shape[3:]), 0, -1)
+        values = np.asarray(elements)  # digits (m, ...) in uint16, which divides faster
+        powers = fld.x_powers.astype(np.uint16).reshape(-1, *[1] * values.ndim)
+        digits = values.astype(np.uint16) // powers % fld.p if fld.m > 1 else values[None]
+        planes = _bit_sets(digits == np.arange(1, fld.p).reshape(-1, *[1] * powers.ndim))
+        planes = planes.transpose(*range(2, planes.ndim - 1), 0, 1, -1)  # (..., p - 1, m, limbs)
+        return planes.reshape(*values.shape[:-1], -1)
     if _digit_form(fld):
         return fld.digits(elements).astype(np.min_scalar_type(2 * fld.p - 2))
     return np.asarray(elements).astype(np.min_scalar_type(2 * fld.q - 2))
@@ -322,7 +322,7 @@ def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
     basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], x_powers)
     basis = _lift(fld, basis)  # basis[i, r] = x^r row_i
     shape = (basis.shape[-1], fld.q ** (len(rows) - (not with_span)), *basis.shape[2:-1])
-    span = np.moveaxis(np.zeros(shape, basis.dtype), 0, -1)  # column-major: runs along words
+    span = np.zeros(shape, basis.dtype).transpose(*range(1, len(shape)), 0)  # column-major
     size, parts = 1, []
     for i in reversed(range(len(rows))):
         if i or with_span:
