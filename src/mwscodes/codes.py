@@ -294,18 +294,6 @@ def _add(fld: GF, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.minimum(s, s - fld.p, out=s)
 
 
-def _grow(fld: GF, span: np.ndarray, b: np.ndarray):
-    """Fill parts 1..p-1 of span, cut in p equal parts, with part 0 plus c b
-    for c = 1..p-1 in turn."""
-    head = span[:len(span) // fld.p]
-    parts = span[len(head):].reshape(fld.p - 1, *head.shape)
-    if not _packed(fld):  # c b for c = 1..p-1
-        b = (np.arange(1, fld.p).reshape(-1, *[1] * b.ndim) * b % fld.p).astype(b.dtype)[:, None]
-    elif fld.p == 3:  # b and -b, which is b with its halves of planes swapped
-        b = np.stack([b, np.roll(b, b.shape[-1] // 2, axis=-1)])[:, None]
-    _add(fld, head, b, out=parts)
-
-
 def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
     """(projective words, span) of the code the rows generate, both in
     lexicographic message order; the span is complete only with with_span.
@@ -320,18 +308,26 @@ def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
     """
     x_powers = fld.x_powers.reshape(-1, *[1] * (rows.ndim - 1))
     basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], x_powers)
-    basis = _lift(fld, basis)  # basis[i, r] = x^r row_i
+    basis = _lift(fld, basis)  # basis[i, r] = x^r row_i; multiples[i, r, c - 1] = c x^r row_i
+    if fld.p == 2:
+        multiples = basis[:, :, None]
+    elif fld.p == 3:  # -x^r row_i is x^r row_i with its halves of planes swapped
+        multiples = np.stack([basis, np.roll(basis, basis.shape[-1] // 2, axis=-1)], axis=2)
+    else:
+        multiples = np.multiply.outer(np.arange(1, fld.p), basis) % fld.p
+        multiples = np.moveaxis(multiples, 0, 2).astype(basis.dtype)
     shape = (basis.shape[-1], fld.q ** (len(rows) - (not with_span)), *basis.shape[2:-1])
     span = np.zeros(shape, basis.dtype).transpose(*range(1, len(shape)), 0)  # column-major
     size, parts = 1, []
     for i in reversed(range(len(rows))):
         if i or with_span:
-            for b in basis[i]:
-                _grow(fld, span[:fld.p * size], b)
+            for b in multiples[i]:  # parts 1..p-1 of span[:p size] are part 0 plus c b
+                head, rest = span[:size], span[size:fld.p * size]
+                _add(fld, head, b[:, None], out=rest.reshape(fld.p - 1, *head.shape))
                 size *= fld.p
             parts.append(span[size // fld.q:2 * size // fld.q])
         else:
-            parts.append(_add(fld, basis[0, 0], span))
+            parts.append(_add(fld, multiples[0, 0, 0], span))
     return np.concatenate(parts), span
 
 
