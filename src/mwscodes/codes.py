@@ -280,7 +280,7 @@ def _lift(fld: GF, elements) -> np.ndarray:
 def _add(fld: GF, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """a + b, into out if given: XOR for p = 2; for p = 3 six logic operations
     on the halves of the planes, "digit = 1" and "digit = 2" (Kawahara, Aoki &
-    Takagi, 2008); else s = a + b < 2p or s - p, the smaller: s - p wraps."""
+    Takagi, 2008); else the smaller of s = a + b < 2p and s - p, which wraps."""
     if fld.p == 2:
         return np.bitwise_xor(a, b, out=out)
     if fld.p == 3:
@@ -304,7 +304,8 @@ def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
     message starts at row i; so one pass from the last row up builds both.
     Over GF(p), adding c row_i for every c is m steps that add c' x^r row_i
     for every c' in GF(p), r = 0..m-1: the field multiplies only to form the
-    x^r row_i, and not at all for prime q.
+    x^r row_i, and not at all for prime q.  The span is one array, grown in
+    place and held column-major, so that each operation runs along the words.
     """
     x_powers = fld.x_powers.reshape(-1, *[1] * (rows.ndim - 1))
     basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], x_powers)
@@ -317,7 +318,7 @@ def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
         multiples = np.multiply.outer(np.arange(1, fld.p), basis) % fld.p
         multiples = np.moveaxis(multiples, 0, 2).astype(basis.dtype)
     shape = (basis.shape[-1], fld.q ** (len(rows) - (not with_span)), *basis.shape[2:-1])
-    span = np.zeros(shape, basis.dtype).transpose(*range(1, len(shape)), 0)  # column-major
+    span = np.zeros(shape, basis.dtype).transpose(*range(1, len(shape)), 0)
     size, parts = 1, []
     for i in reversed(range(len(rows))):
         if i or with_span:
@@ -469,8 +470,8 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     (words, B, n) field elements, or (words, B, planes x limbs) bit planes
     for p <= 3: (weights, qm), as _pass returns them.  For one code with
     multiplicities, whose weights can exceed n and 2^63, weights is instead
-    a list of each block's exact word weights (_weights).  The supports are compared as bit
-    sets: _bit_sets of the mask, or a plane word's _key."""
+    a list of each block's exact word weights (_weights).  The supports are
+    compared as bit sets: _bit_sets of the mask, or a plane word's _key."""
     k, count, n = shape
     packed = _packed(fld)
     if multiplicities:
