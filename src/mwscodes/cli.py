@@ -6,7 +6,7 @@ tool composes in pipelines.  Exit statuses:
     0  success
     1  a requested verification predicate returned false
     2  invalid input
-    3  a resource guard tripped
+    3  a resource guard tripped, or memory ran out (MemoryError)
     4  internal error (a bug: an unexpected exception), or stdout was
        closed before the payload was written (a broken pipe)
 
@@ -383,7 +383,7 @@ def _run(args) -> int:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_BAD_INPUT
     except (EnumerationTooLargeError, FieldTooLargeError, SearchSpaceTooLargeError,
-            bounds_mod.PowerTooLargeError) as exc:
+            bounds_mod.PowerTooLargeError, MemoryError) as exc:
         _diag(f"resource guard tripped: {exc}")
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_GUARD

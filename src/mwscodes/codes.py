@@ -25,24 +25,27 @@ point; for k >= 3 the points on each hyperplane come from the zero pattern
 of the simplex code's words (_incidence).  QM is read off the same counts
 for k <= 3.  It serves plain codes over q > 2: every k = 2 code, and
 stacks of k >= 3 codes long enough for its gathers and geometry to cost
-less than their words.
+less than their words, except k = 3 over GF(3).
 
 The block pass (_tally) serves everything else: binary codes, codes with
-multiplicities, short k >= 3 codes and QM for k >= 4.  With rows
+multiplicities, short k >= 3 codes, k = 3 over GF(3) and QM for k >= 4.  With rows
 g_0..g_{k-1}, the words whose message starts at coordinate i are
 g_i + span(g_{i+1..k-1}), and each span is the next one plus c g_j for every
 c in GF(q): words are built by adding rows, never by multiplying messages.
-Over characteristic p <= 3 a word is uint64 bit planes, 64 columns to a
-limb, one per base-p digit and nonzero digit value (_lift).  XOR adds them
-for p = 2, six logic operations on the "digit = 1" and "digit = 2" planes
-for p = 3, where swapping the two negates (_add); their OR is the support
-key, whose popcount is the weight (_key).  Other words are added mod p, on
-the elements for prime q and on base-p digits otherwise.  Words come in
-blocks of at most BLOCK_ROWS rows (codeword_matrix): a larger code reuses
-the span of its last rows for every prefix of the leading ones.  A plane
-block holds rows x (p - 1) m ceil(n / 64) limbs, any other rows x n entries
-(x m digits when added digit by digit) of one byte while two of them sum
-below 256, and the mask, weights and support keys made from them.
+Every word is planes side by side on its last axis (_lift).  Over
+characteristic p <= 3 they are uint64 bit planes, 64 columns to a limb, one
+per base-p digit and nonzero digit value: XOR adds them for p = 2, six logic
+operations on the "digit = 1" and "digit = 2" planes for p = 3, where
+swapping the two negates (_add).  Over p >= 5 they are the m base-p digit
+planes, the elements themselves for prime q, added mod p.  The pass reads a
+word only through its support as a bit set (_key): the OR of its bit planes,
+or the packed columns where some digit is nonzero.  Its popcount is the
+weight, and it is the key the QM check compares.  Words come in blocks of
+at most BLOCK_ROWS rows (codeword_matrix): a larger code reuses the span of
+its last rows for every prefix of the leading ones.  A block holds
+rows x (p - 1) m ceil(n / 64) limbs for p <= 3, else rows x m n digits of
+one byte while two of them sum below 256, and the support keys made from
+them.
 
 Both passes take a stack of B generators, shape (k, B, n): a single code is
 a stack of one (_enumerate), and searches stack their candidates B at a
@@ -86,10 +89,9 @@ def gf_rank(fld: GF, rows) -> int:
     nonzero entries come in column order.  Each step takes the first
     entry as the pivot v, in column c and row r, subtracts (f / v) times
     row r from each other row with an entry f != 0 in column c, and clears
-    row r; the rank is the number of steps.  Over a prime field the
-    products are integer products mod p, over any other they come off the
-    log/exp tables; differences are XOR for p = 2, mod p for prime q and
-    mod p on base-p digits otherwise."""
+    row r; the rank is the number of steps.  The products come off the
+    log/exp tables, and differences are XOR for p = 2 and mod p on base-p
+    digits otherwise."""
     k = len(rows)
     mat = np.array(rows, dtype=np.int64, ndmin=2, order="F").T
     rank = 0
@@ -102,17 +104,12 @@ def gf_rank(fld: GF, rows) -> int:
         v, factors[row] = int(factors[row]), 0
         others = np.flatnonzero(factors)  # the rows to clear in column c
         if len(others):
-            if fld.m == 1:
-                terms = pivots * (factors[others] * pow(v, -1, fld.p) % fld.p)
-            else:
-                # log(f / v) in [0, q - 2] plus a head log stays inside the doubled exp
-                head = fld.log[pivots]  # -1 marks a zero
-                terms = fld.exp[(fld.log[factors[others]] - fld.log[v]) % (fld.q - 1) + head]
-                terms *= head >= 0
+            # log(f / v) in [0, q - 2] plus a head log stays inside the doubled exp
+            head = fld.log[pivots]  # -1 marks a zero
+            terms = fld.exp[(fld.log[factors[others]] - fld.log[v]) % (fld.q - 1) + head]
+            terms *= head >= 0
             if fld.p == 2:
                 mat[:, others] ^= terms
-            elif fld.m == 1:
-                mat[:, others] = (mat[:, others] - terms) % fld.p
             else:
                 mat[:, others] = (fld.digits(mat[:, others]) - fld.digits(terms)) % fld.p @ fld.x_powers
         mat[:, row] = 0
@@ -219,17 +216,6 @@ def codeword(code: LinearCode, message) -> tuple[int, ...]:
 
 # -- block enumeration --------------------------------------------------------
 
-def _digit_form(fld: GF) -> bool:
-    """Words are added digit by digit only when neither bit planes (p <= 3)
-    nor addition mod p (m = 1) works on the elements themselves."""
-    return fld.p > 3 and fld.m > 1
-
-
-def _packed(fld: GF) -> bool:
-    """Words over characteristic 2 and 3 are uint64 bit planes (_lift)."""
-    return fld.p <= 3
-
-
 def _bit_sets(mask: np.ndarray) -> np.ndarray:
     """The rows of a mask along its last axis as uint64 bit sets, 64 columns
     to a limb: column j is bit j % 8 of byte j // 8 (np.packbits' little
@@ -247,34 +233,50 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return bits.reshape(*words.shape[:-1], -1)[..., :n]
 
 
+def _planes(fld: GF, words: np.ndarray) -> np.ndarray:
+    """The planes of words (_lift) on a new axis before the last."""
+    count = (fld.p - 1) * fld.m if fld.p <= 3 else fld.m
+    return words.reshape(*words.shape[:-1], count, -1)
+
+
 def _key(fld: GF, words: np.ndarray) -> np.ndarray:
-    """The OR of each plane word's (p - 1) m planes: its support as a bit set."""
-    planes = words.reshape(*words.shape[:-1], (fld.p - 1) * fld.m, -1)
-    return words if fld.q == 2 else np.bitwise_or.reduce(planes, axis=-2)
+    """Each word's support as a bit set: the OR of its bit planes for p <= 3,
+    else _bit_sets of the columns where some digit plane is nonzero."""
+    if fld.q == 2:
+        return words
+    if fld.p <= 3:
+        return np.bitwise_or.reduce(_planes(fld, words), axis=-2)
+    return _bit_sets(words != 0 if fld.m == 1 else _planes(fld, words).any(axis=-2))
 
 
 def _elements(fld: GF, words: np.ndarray, n: int) -> np.ndarray:
-    """Plane words (_lift) back to their n columns of field elements."""
-    values = (np.arange(1, fld.p)[:, None] * fld.x_powers).ravel()  # plane (c - 1) m + r
-    bits = _unpack(words.reshape(*words.shape[:-1], len(values), -1), n)
-    return (values @ bits).astype(np.min_scalar_type(fld.q - 1))
+    """Words (_lift) back to their n columns of field elements: each plane
+    times the value it stands for, c x^r for bit plane (c - 1) m + r and
+    x^r for digit plane r."""
+    if fld.p <= 3:
+        values = (np.arange(1, fld.p)[:, None] * fld.x_powers).ravel()
+        planes = _unpack(_planes(fld, words), n)
+    else:
+        values, planes = fld.x_powers, _planes(fld, words)
+    return (values @ planes).astype(np.min_scalar_type(fld.q - 1))
 
 
 def _lift(fld: GF, elements) -> np.ndarray:
-    """Elements in the form words are added in: (p - 1) m bit planes for
-    p <= 3, plane (c - 1) m + r the columns whose base-p digit r is c, digits
-    for _digit_form, else the elements themselves, in the smallest dtype
-    that holds the sum of two entries: uint8 only below 128."""
-    if _packed(fld):
-        values = np.asarray(elements)  # digits (m, ...) in uint16, which divides faster
-        powers = fld.x_powers.astype(np.uint16).reshape(-1, *[1] * values.ndim)
-        digits = values.astype(np.uint16) // powers % fld.p if fld.m > 1 else values[None]
-        planes = _bit_sets(digits == np.arange(1, fld.p).reshape(-1, *[1] * powers.ndim))
-        planes = planes.transpose(*range(2, planes.ndim - 1), 0, 1, -1)  # (..., p - 1, m, limbs)
-        return planes.reshape(*values.shape[:-1], -1)
-    if _digit_form(fld):
-        return fld.digits(elements).astype(np.min_scalar_type(2 * fld.p - 2))
-    return np.asarray(elements).astype(np.min_scalar_type(2 * fld.q - 2))
+    """Elements in the form words are added in, planes side by side on the
+    last axis.  For p <= 3, (p - 1) m uint64 bit planes, plane (c - 1) m + r
+    the columns whose base-p digit r is c; else m planes of base-p digits,
+    the elements themselves for m = 1, in the smallest dtype that holds the
+    sum of two digits: uint8 for p < 128."""
+    values = np.asarray(elements)  # digits (m, ...) in uint16, which divides faster
+    powers = fld.x_powers.astype(np.uint16).reshape(-1, *[1] * values.ndim)
+    planes = values.astype(np.uint16) // powers % fld.p if fld.m > 1 else values[None]
+    if fld.p <= 3:  # (p - 1, m, ..., limbs)
+        planes = _bit_sets(planes == np.arange(1, fld.p).reshape(-1, *[1] * powers.ndim))
+    else:
+        planes = planes.astype(np.min_scalar_type(2 * fld.p - 2))
+    lead = planes.ndim - values.ndim  # the plane axes, moved to just before the last
+    planes = planes.transpose(*range(lead, planes.ndim - 1), *range(lead), -1)
+    return planes.reshape(*values.shape[:-1], -1)
 
 
 def _add(fld: GF, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -297,7 +299,8 @@ def _add(fld: GF, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
     """(projective words, span) of the code the rows generate, both in
     lexicographic message order; the span is complete only with with_span.
-    rows is (k, n), or a stack (k, B, n) whose words come out (words, B, n).
+    rows is (k, n), or a stack (k, B, n) whose words come out (words, B, ...);
+    each word is its planes (_lift).
 
     span(rows from i) is c row_i + span(rows after i) for each c in GF(q) in
     turn, and its c = 1 part, row_i + span(rows after i), holds the words whose
@@ -369,22 +372,15 @@ def _layout(code: LinearCode):
     return layout
 
 
-def _block(fld: GF, layout, block: int) -> np.ndarray:
-    """Block `block` of a _stack_layout in the form the block pass reads:
-    field elements, but bit planes for p <= 3 (_lift)."""
-    tail, span, prefixes = layout
-    words = tail if block == 0 else _add(fld, prefixes[block - 1], span)
-    return words @ fld.x_powers if _digit_form(fld) else words
-
-
 def codeword_matrix(code: LinearCode, block: int = 0, packed: bool = False) -> np.ndarray:
     """Enumeration block `block` of the code's projective words: one row per
     word, in lexicographic message order, with n columns of field elements.
     Blocks 0, 1, ... together list projective_representatives' messages.
-    With packed, words over characteristic p <= 3 stay the bit planes the
-    block pass reads (_lift), (p - 1) m ceil(n / 64) uint64 limbs a row."""
-    words = _block(code.field, _layout(code), block)
-    return _elements(code.field, words, code.n) if _packed(code.field) and not packed else words
+    With packed, the words stay the planes the block pass reads (_lift): a
+    row of (p - 1) m ceil(n / 64) uint64 limbs for p <= 3, else m n digits."""
+    tail, span, prefixes = _layout(code)
+    words = tail if block == 0 else _add(code.field, prefixes[block - 1], span)
+    return words if packed else _elements(code.field, words, code.n)
 
 
 def support(word) -> frozenset[int]:
@@ -467,13 +463,12 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
 
 def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     """The block pass over a stack of codes of shape (k, B, n), each block
-    (words, B, n) field elements, or (words, B, planes x limbs) bit planes
-    for p <= 3: (weights, qm), as _pass returns them.  For one code with
-    multiplicities, whose weights can exceed n and 2^63, weights is instead
-    a list of each block's exact word weights (_weights).  The supports are
-    compared as bit sets: _bit_sets of the mask, or a plane word's _key."""
+    (words, B, planes) words (_lift): (weights, qm), as _pass returns them.
+    For one code with multiplicities, whose weights can exceed n and 2^63,
+    weights is instead a list of each block's exact word weights
+    (_weights).  A word is read only through its support bit set (_key):
+    its popcount is the weight, and the keys are the supports compared."""
     k, count, n = shape
-    packed = _packed(fld)
     if multiplicities:
         weights = []
     else:
@@ -481,18 +476,16 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
         offsets = (n + 1) * np.arange(count)
     keys = []
     for words in blocks:
-        mask = _key(fld, words) if packed else words != 0
+        key = _key(fld, words)
         if multiplicities:
-            rows = _unpack(mask[:, 0], n) if packed else mask[:, 0]
-            weights.append(_weights(multiplicities, rows))
+            weights.append(_weights(multiplicities, _unpack(key[:, 0], n)))
         else:
-            sizes = (np.bitwise_count(mask).sum(axis=2, dtype=np.intp) if packed
-                     else mask.sum(axis=2))
+            sizes = np.bitwise_count(key).sum(axis=2, dtype=np.intp)
             sizes += offsets
             flat = np.bincount(sizes.ravel(), minlength=weights.size)
             weights += flat.reshape(count, n + 1)
         if supports:
-            keys.append(mask if packed else _bit_sets(mask))
+            keys.append(key)
     if not supports:
         return weights, None
     distinct = _distinct_rows(np.concatenate(keys))
@@ -559,24 +552,22 @@ def _incidence(fld: GF, k: int) -> np.ndarray:
     symmetric in h and p, so row w also lists the hyperplanes through
     point w."""
     reps = np.array(projective_representatives(fld, k)).T
-    words = _words(fld, reps)[0]
-    if _packed(fld):
-        words = _unpack(_key(fld, words), len(reps[0]))
-    zero = ~words.any(axis=-1) if _digit_form(fld) else words == 0
+    zero = _unpack(_key(fld, _words(fld, reps)[0]), len(reps[0])) == 0
     return np.nonzero(zero)[1].reshape(len(zero), -1)
 
 
 def _by_points(q: int, k: int, count: int, n: int, supports: bool) -> bool:
     """Whether _pass takes the point pass for a stack of count plain
     [n, k]_q codes, by the measured costs in CHANGES.md.  Never for q = 2,
-    whose block pass is as fast.  Always for k = 2, which needs no geometry.
+    or for k = 3 over GF(3), whose bit-plane block passes are faster.
+    Always for k = 2, which needs no geometry.
     For k >= 3 the pass gathers P |H| counts per code, |H| the
     (q^(k-1) - 1)/(q - 1) points on a hyperplane, where enumeration builds
     P n word entries, but first builds the P^2 incidence and a point
     table, which a single code never repays.  So it takes stacks with
     2 |H| <= n, 32 P <= B n and B P n >= 2^15, and supports only for k = 3,
     where each codim-2 W is one point."""
-    if q == 2 or k < 2 or (supports and k > 3):
+    if q == 2 or k < 2 or (supports and k > 3) or (q, k) == (3, 3):
         return False
     points = projective_representative_count(q, k)
     return k == 2 or (count > 1 and 2 * projective_representative_count(q, k - 1) <= n
@@ -633,7 +624,7 @@ def _point_pass(fld: GF, stack: np.ndarray, supports: bool):
 def _pass(fld: GF, stack: np.ndarray, supports: bool, blocks, multiplicities=None):
     """The one weight pass over the codes stacked in stack (k, B, n), a
     stack of one for a single code: (weights, qm).  blocks lazily yields
-    the stack's enumeration blocks as _block gives them, so none is built
+    the stack's enumeration blocks as _lift words, so none is built
     before the guard passes or when the point pass runs; plain codes of
     the shapes _by_points picks take the point pass instead.
 
@@ -676,9 +667,10 @@ def _spectrum(code: LinearCode, weights) -> WeightSpectrum:
 def _histograms(fld: GF, stack: np.ndarray, supports: bool):
     """The _pass over the plain codes stacked in stack (k, B, n)."""
     def blocks():
-        layout = _stack_layout(fld, stack)
-        for block in range(_block_count(fld.q, len(stack))):
-            yield _block(fld, layout, block)
+        tail, span, prefixes = _stack_layout(fld, stack)
+        yield tail
+        for prefix in prefixes:
+            yield _add(fld, prefix, span)
 
     return _pass(fld, stack, supports, blocks())
 

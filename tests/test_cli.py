@@ -261,6 +261,19 @@ def test_oversized_candidates_trip_the_guard_before_any_draw(capsys, monkeypatch
     assert payload["error"] == "SearchSpaceTooLargeError"
 
 
+def test_running_out_of_memory_exits_as_a_tripped_guard(capsys, monkeypatch):
+    # this search passes every guard, but its one block's span takes 4.36 GiB;
+    # where numpy cannot allocate it, the MemoryError exits 3, not 4
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.36 GiB for the span")
+
+    monkeypatch.setattr(importlib.import_module("mwscodes.codes"), "_words", out_of_memory)
+    status, payload = run(capsys, "search", "--q", "5", "--k", "7", "--n", "299593",
+                          "--trials", "1", "--seed", "0")
+    assert status == cli.EXIT_GUARD == 3
+    assert payload == {"error": "MemoryError", "detail": "Unable to allocate 4.36 GiB for the span"}
+
+
 def test_search_gv(capsys, monkeypatch):
     status, payload = run(capsys, "search", "--q", "2", "--k", "3", "--gv",
                           "--trials", "50", "--seed", "0")

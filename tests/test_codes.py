@@ -140,7 +140,7 @@ def test_rank_deficient_generator_rejected():
         make_code(3, [[1, 2, 0], [2, 1, 0]])  # row 2 = 2 * row 1
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 243, 512, 2187])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 243, 257, 512, 2187])
 def test_gf_rank_matches_scalar_elimination(q):
     # a k x r times r x n product has rank at most r, so r < min(k, n)
     # makes it rank deficient; zero rows, columns and entries come along

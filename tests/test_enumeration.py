@@ -154,16 +154,21 @@ def test_spectrum_report_enumerates_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_weights_never_compute_supports(monkeypatch):
-    def boom(mask):
-        raise AssertionError("supports computed")
+def no_supports(mask):
+    raise AssertionError("supports computed")
 
-    # a q = 5 pass packs only supports; for p <= 3 the words are packed
-    # planes whose OR is both the mask and the support key
-    monkeypatch.setattr(codes, "_bit_sets", boom)
-    code = make_code(5, "small")
-    assert weight_spectrum(code).counts == reference.spectrum(code)
-    assert is_mws(code) == reference.is_mws(code)
+
+def test_weights_never_compute_supports(monkeypatch):
+    # every block pass reads a word's support as a bit set, whose popcount
+    # is its weight; a weights-only pass never compares those supports
+    monkeypatch.setattr(codes, "_distinct_rows", no_supports)
+    calls = count_blocks(monkeypatch)
+    for q in (4, 5, 25):
+        for profile in ("plain", "small"):
+            code = make_code(q, profile)
+            assert weight_spectrum(code).counts == reference.spectrum(code)
+            assert is_mws(code) == reference.is_mws(code)
+    assert len(calls) == 12  # k = 3 codes: one block pass each
 
 
 def test_pipeline_and_construct_reuse_their_verdicts(monkeypatch, capsys):
@@ -176,10 +181,6 @@ def test_pipeline_and_construct_reuse_their_verdicts(monkeypatch, capsys):
         assert cli.main(["construct", *argv, "--verify-qm", "--verify-mws"]) in (0, 1)
         assert len(calls) == passes
     capsys.readouterr()
-
-
-def no_supports(mask):
-    raise AssertionError("supports computed")
 
 
 @pytest.mark.parametrize("profile", PROFILES)

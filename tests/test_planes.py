@@ -1,12 +1,13 @@
-"""The bit-plane block pass over GF(p^m) for p = 2 and 3 against the
-reference oracles.
+"""The block pass's plane words over GF(p^m) against the reference oracles.
 
-A word over such a field is (p - 1) m uint64 bit planes of n columns each:
-for p = 2 one plane per base-2 digit, for p = 3 a "digit = 1" and a
-"digit = 2" plane per base-3 digit.  Lengths 1, 63, 64, 65, 128 and 129 put
-the last column on both sides of a limb edge, and small block sizes cut a
-code into many blocks, so that every prefix reuses the span of the tail
-rows.  test_packed.py covers GF(2), whose words are a single plane.
+A word over a field of characteristic p <= 3 is (p - 1) m uint64 bit planes
+of n columns each: for p = 2 one plane per base-2 digit, for p = 3 a
+"digit = 1" and a "digit = 2" plane per base-3 digit.  Over p >= 5 it is m
+planes of base-p digits, whose support is packed into bit sets of the same
+limbs.  Lengths 1, 63, 64, 65, 128 and 129 put the last column on both sides
+of a limb edge, and small block sizes cut a code into many blocks, so that
+every prefix reuses the span of the tail rows.  test_packed.py covers GF(2),
+whose words are a single plane.
 """
 
 import numpy as np
@@ -23,14 +24,22 @@ from mwscodes import (
 )
 from mwscodes import codes
 
-FIELDS = [3, 4, 8, 9, 16, 27]
-LENGTHS = [1, 63, 64, 65, 128, 129]
+BIT_FIELDS = [3, 4, 8, 9, 16, 27]
+DIGIT_FIELDS = [5, 7, 25, 49]
+FIELDS = BIT_FIELDS + DIGIT_FIELDS
+LENGTHS = [(q, n) for q in BIT_FIELDS for n in [1, 63, 64, 65, 128, 129]] + [
+    (q, n) for q in DIGIT_FIELDS for n in [1, 63, 64, 65, 129]]
 # the largest k whose (q^k - 1)/(q - 1) words the per-word oracle counts fast
-MAX_K = {3: 5, 4: 4, 8: 3, 9: 3, 16: 3, 27: 2}
+MAX_K = {3: 5, 4: 4, 8: 3, 9: 3, 16: 3, 27: 2, 5: 4, 7: 3, 25: 2, 49: 2}
 
 
-def limbs(fld, n):
-    return (fld.p - 1) * fld.m * -(-n // 64)
+def width(fld, n):
+    """The entries of a word: uint64 limbs for p <= 3, else uint8 digits."""
+    return (fld.p - 1) * fld.m * -(-n // 64) if fld.p <= 3 else fld.m * n
+
+
+def dtype(fld):
+    return np.uint64 if fld.p <= 3 else np.uint8
 
 
 def damaged_generator(q, k, n, seed):
@@ -47,29 +56,29 @@ def damaged_generator(q, k, n, seed):
 
 def block_pass(fld, stack, supports):
     """The block pass over stack (k, B, n), whatever _pass would pick."""
-    layout = codes._stack_layout(fld, stack)
-    blocks = (codes._block(fld, layout, b) for b in range(codes._block_count(fld.q, len(stack))))
-    return codes._tally(fld, stack.shape, blocks, supports)
+    tail, span, prefixes = codes._stack_layout(fld, stack)
+    blocks = [tail] + [codes._add(fld, prefix, span) for prefix in prefixes]
+    return codes._tally(fld, stack.shape, iter(blocks), supports)
 
 
-@pytest.mark.parametrize("q", [3, 4, 8, 9])
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 5, 7, 25, 49])
 def test_addition_negation_and_keys_are_the_field_tables(q):
     fld = build_field(q)
     a, b = (x.ravel() for x in np.meshgrid(np.arange(q), np.arange(q)))  # q^2 columns
     words = codes._lift(fld, np.stack([a, b]))
-    assert words.dtype == np.uint64 and words.shape == (2, limbs(fld, q * q))
+    assert words.dtype == dtype(fld) and words.shape == (2, width(fld, q * q))
     total = codes._elements(fld, codes._add(fld, words[0], words[1]), q * q)
     assert total.tolist() == [fld.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert codes._elements(fld, words, q * q).tolist() == [a.tolist(), b.tolist()]
     assert np.array_equal(codes._unpack(codes._key(fld, words), q * q), np.stack([a, b]) != 0)
-    if fld.p == 3:  # swapping the two halves of the planes negates
-        swapped = np.roll(words, words.shape[-1] // 2, axis=-1)
-        assert codes._elements(fld, swapped, q * q).tolist() == [
+    if fld.p > 2:  # -b: the halves of the bit planes swapped for p = 3, else (p - 1) b
+        negated = (np.roll(words, words.shape[-1] // 2, axis=-1) if fld.p == 3
+                   else (fld.p - 1) * words % fld.p)
+        assert codes._elements(fld, negated, q * q).tolist() == [
             [fld.neg(x) for x in row] for row in (a.tolist(), b.tolist())]
 
 
-@pytest.mark.parametrize("n", LENGTHS)
-@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("q,n", LENGTHS)
 def test_histograms_and_supports_match_reference(q, n, block_rows):
     fld = build_field(q)
     for k in range(1, MAX_K[q] + 1):
@@ -100,12 +109,13 @@ def test_codeword_matrix_lists_the_reference_words(q, block_rows):
             assert all(b.ndim == 2 and b.shape[1] == n and b.dtype == np.uint8 for b in blocks)
             for b, words in enumerate(blocks):
                 packed = codes.codeword_matrix(code, b, packed=True)
-                assert packed.dtype == np.uint64 and packed.shape == (len(words), limbs(fld, n))
+                assert packed.dtype == dtype(fld) and packed.shape == (len(words), width(fld, n))
                 assert np.array_equal(codes._elements(fld, packed, n), words)
 
 
 # (q, k, B, n): stacks whose shapes _by_points leaves to the block pass
-STACKS = [(3, 4, 30, 20), (4, 4, 20, 65), (9, 3, 25, 12), (8, 3, 10, 129), (27, 3, 4, 30)]
+STACKS = [(3, 4, 30, 20), (4, 4, 20, 65), (9, 3, 25, 12), (8, 3, 10, 129), (27, 3, 4, 30),
+          (5, 4, 20, 20), (25, 3, 4, 30)]
 
 
 @pytest.mark.parametrize("q,k,count,n", STACKS)
@@ -127,7 +137,7 @@ def test_search_stacks_match_reference(q, k, count, n, block_rows):
 
 
 @pytest.mark.parametrize("n", [20, 63, 64])
-@pytest.mark.parametrize("q", [3, 4, 9])
+@pytest.mark.parametrize("q", [3, 4, 9, 5, 25])
 def test_codes_with_multiplicities_match_reference(q, n, block_rows):
     # the weights leave the planes through their key; N passes 2^63 at n = 64
     fld = build_field(q)

@@ -140,9 +140,9 @@ def test_square_binary_draws_are_replayed():
 
 def block_pass(fld, stack, supports):
     """The block pass over stack (k, B, n), whatever _pass would pick, and
-    its blocks: field elements, or bit sets for q = 2."""
-    layout = codes._stack_layout(fld, stack)
-    blocks = [codes._block(fld, layout, b) for b in range(codes._block_count(fld.q, len(stack)))]
+    its blocks of plane words (codes._lift)."""
+    tail, span, prefixes = codes._stack_layout(fld, stack)
+    blocks = [tail] + [codes._add(fld, prefix, span) for prefix in prefixes]
     return codes._tally(fld, stack.shape, iter(blocks), supports), blocks
 
 
@@ -266,12 +266,21 @@ def test_point_pass_qm_on_point_sets():
     (2187, 2, 1, 3, True, True),
     (2, 2, 1000, 21, False, False),  # binary: blocks
     (2, 5, 436, 30, False, False),
-    (3, 3, 280, 19, False, True),  # a search batch above 2 |H|
-    (3, 3, 50, 56, True, True),
-    (3, 3, 1, 2600, True, False),  # one code: the incidence costs more
-    (3, 3, 64, 26, True, False),  # B P n < 2^15
-    (3, 3, 280, 7, False, False),  # n < 2 |H|
+    (3, 3, 280, 19, False, False),  # k = 3 over GF(3): the bit-plane block pass
+    (3, 3, 50, 56, True, False),
+    (3, 3, 200, 24, False, False),
+    (3, 3, 200, 24, True, False),
+    (3, 3, 20, 12, False, False),
+    (3, 3, 1, 2600, True, False),
+    (3, 3, 64, 26, True, False),
+    (3, 3, 280, 7, False, False),
+    (4, 3, 200, 12, False, True),  # a search batch above 2 |H|
+    (4, 3, 200, 12, True, True),
+    (4, 3, 1, 2600, True, False),  # one code: the incidence costs more
+    (4, 3, 100, 12, True, False),  # B P n < 2^15
+    (4, 3, 280, 9, False, False),  # n < 2 |H|
     (3, 4, 16, 60, False, False),  # 32 P > B n
+    (3, 4, 200, 78, False, True),
     (3, 4, 273, 60, False, True),
     (3, 4, 273, 60, True, False),  # supports past k = 3
     (3, 9, 1, 20, True, False),  # the verify workload's codes: |H| > n
