@@ -27,7 +27,7 @@ from mwscodes import codes
 BIT_FIELDS = [3, 4, 8, 9, 16, 27]
 DIGIT_FIELDS = [5, 7, 25, 49]
 FIELDS = BIT_FIELDS + DIGIT_FIELDS
-LENGTHS = [(q, n) for q in BIT_FIELDS for n in [1, 63, 64, 65, 128, 129]] + [
+FIELD_LENGTHS = [(q, n) for q in BIT_FIELDS for n in [1, 63, 64, 65, 128, 129]] + [
     (q, n) for q in DIGIT_FIELDS for n in [1, 63, 64, 65, 129]]
 # the largest k whose (q^k - 1)/(q - 1) words the per-word oracle counts fast
 MAX_K = {3: 5, 4: 4, 8: 3, 9: 3, 16: 3, 27: 2, 5: 4, 7: 3, 25: 2, 49: 2}
@@ -78,7 +78,7 @@ def test_addition_negation_and_keys_are_the_field_tables(q):
             [fld.neg(x) for x in row] for row in (a.tolist(), b.tolist())]
 
 
-@pytest.mark.parametrize("q,n", LENGTHS)
+@pytest.mark.parametrize("q,n", FIELD_LENGTHS)
 def test_histograms_and_supports_match_reference(q, n, block_rows):
     fld = build_field(q)
     for k in range(1, MAX_K[q] + 1):
