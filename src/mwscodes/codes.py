@@ -244,8 +244,12 @@ def _key(fld: GF, words: np.ndarray) -> np.ndarray:
     else _bit_sets of the columns where some digit plane is nonzero."""
     if fld.q == 2:
         return words
-    if fld.p <= 3:
-        return np.bitwise_or.reduce(_planes(fld, words), axis=-2)
+    if fld.p <= 3:  # plane by plane: bitwise_or.reduce takes twice as long on these layouts
+        planes = _planes(fld, words)
+        key = planes[..., 0, :]
+        for r in range(1, planes.shape[-2]):
+            key = key | planes[..., r, :]
+        return key
     return _bit_sets(words != 0 if fld.m == 1 else _planes(fld, words).any(axis=-2))
 
 
@@ -266,17 +270,21 @@ def _lift(fld: GF, elements) -> np.ndarray:
     last axis.  For p <= 3, (p - 1) m uint64 bit planes, plane (c - 1) m + r
     the columns whose base-p digit r is c; else m planes of base-p digits,
     the elements themselves for m = 1, in the smallest dtype that holds the
-    sum of two digits: uint8 for p < 128."""
+    sum of two digits: uint8 for p < 128.
+
+    _lift owns the word layout; every word built from its output keeps it
+    (_words).  Bit planes are held limb-outermost, each plane limb contiguous
+    along the words; digit planes row-major, the order _key packs them in."""
     values = np.asarray(elements)  # digits (m, ...) in uint16, which divides faster
     powers = fld.x_powers.astype(np.uint16).reshape(-1, *[1] * values.ndim)
     planes = values.astype(np.uint16) // powers % fld.p if fld.m > 1 else values[None]
-    if fld.p <= 3:  # (p - 1, m, ..., limbs)
-        planes = _bit_sets(planes == np.arange(1, fld.p).reshape(-1, *[1] * powers.ndim))
-    else:
+    if fld.p > 3:  # (m, ..., n), the plane axis moved to just before the last
         planes = planes.astype(np.min_scalar_type(2 * fld.p - 2))
-    lead = planes.ndim - values.ndim  # the plane axes, moved to just before the last
-    planes = planes.transpose(*range(lead, planes.ndim - 1), *range(lead), -1)
-    return planes.reshape(*values.shape[:-1], -1)
+        return planes.transpose(*range(1, values.ndim), 0, -1).reshape(*values.shape[:-1], -1)
+    planes = _bit_sets(planes == np.arange(1, fld.p).reshape(-1, *[1] * powers.ndim))
+    # (p - 1, m, ..., limbs), copied with the plane and limb axes outermost, then moved last
+    planes = np.ascontiguousarray(planes.transpose(0, 1, -1, *range(2, values.ndim + 1)))
+    return planes.reshape(-1, *values.shape[:-1]).transpose(*range(1, values.ndim), 0)
 
 
 def _add(fld: GF, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -309,6 +317,9 @@ def _words(fld: GF, rows: np.ndarray, with_span: bool = False):
     for every c' in GF(p), r = 0..m-1: the field multiplies only to form the
     x^r row_i, and not at all for prime q.  The span is one array, grown in
     place and held column-major, so that each operation runs along the words.
+    The word layout is _lift's: numpy's logic operations, np.stack and
+    np.concatenate give their outputs their inputs' layout, so bit-plane
+    multiples and parts stay limb-outermost like the basis.
     """
     x_powers = fld.x_powers.reshape(-1, *[1] * (rows.ndim - 1))
     basis = rows[:, None] if fld.m == 1 else fld.mul_array(rows[:, None], x_powers)

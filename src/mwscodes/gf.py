@@ -134,6 +134,16 @@ def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     return [c % p for c in prod[:m]]
 
 
+def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e mod the monic f over GF(p), left to right over the bits of e."""
+    result = [1] + [0] * (len(f) - 2)
+    for bit in bin(e)[2:]:
+        result = _poly_mulmod(result, result, f, p)
+        if bit == "1":
+            result = _poly_mulmod(result, a, f, p)
+    return result
+
+
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """A greatest common divisor of a and b over GF(p), trimmed."""
     while b:
@@ -159,11 +169,7 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
         diff = _poly_trim([(a - b) % p for a, b in zip(g, x)])
         return not diff or len(_poly_gcd(list(poly), diff, p)) > 1
 
-    xp = x
-    for bit in bin(p)[3:]:  # x^p, left to right over the bits of p
-        xp = _poly_mulmod(xp, xp, poly, p)
-        if bit == "1":
-            xp = _poly_mulmod(xp, x, poly, p)
+    xp = _poly_powmod(x, p, poly, p)
     if meets_f(xp):
         return False
     rows = [[1] + [0] * (m - 1), xp]
@@ -276,26 +282,7 @@ class GF:
     def _mul_poly(self, a: int, b: int) -> int:
         """Product by polynomial multiplication mod the modulus: the table
         build's primitive and the reference the tables are tested against."""
-        p = self.p
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _poly_mod(prod, list(self.modulus), p)
-        rem += [0] * (self.m - len(rem))
-        return self._encode(rem)
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply on _mul_poly."""
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
-        return result
+        return self._encode(_poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.p))
 
     def _powers(self, g: int) -> np.ndarray:
         """g^0 .. g^(q-2) by doubling: multiplying the block of powers so far
@@ -312,8 +299,8 @@ class GF:
         # g has order q - 1 (is primitive) iff g^((q-1)/r) != 1 for every prime
         # r dividing q - 1; only the smallest such g gets its powers walked.
         cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
-        g = next(g for g in range(1, q)
-                 if all(self._pow_poly(g, e) != 1 for e in cofactors))
+        g = next(g for g in range(1, q) if all(
+            _poly_powmod(self.coeffs(g), e, self.modulus, p) != self.coeffs(1) for e in cofactors))
         powers = self._powers(g)
         exp = np.concatenate([powers, powers])
         log = np.full(q, -1, dtype=np.int64)

@@ -139,17 +139,20 @@ def test_large_fields_match_reference_on_sampled_pairs():
     assert build_field(257).mul(100, 200) == (100 * 200) % 257
 
 
-@pytest.mark.parametrize("q", REFERENCE_Q + LARGE_Q)
+@pytest.mark.parametrize("q", REFERENCE_Q + [5, 7, 49] + LARGE_Q)
 def test_neg_inv_pow_match_definitions(q):
+    # a^e from the table, from square-and-multiply and by e products mod f,
+    # for every e <= 2 q on the small fields
     f = build_field(q)
     sample = range(q) if q < 100 else random.Random(q).sample(range(q), 200)
     for a in sample:
         assert f.neg(a) == coeff_neg(f, a)
         assert coeff_add(f, a, f.neg(a)) == 0
-        power = 1
-        for e in range(5):
-            assert f.pow(a, e) == power
-            power = f._mul_poly(power, a)
+        power = f.coeffs(1)
+        for e in range(2 * q + 1 if q < 100 else 5):
+            assert gf._poly_powmod(f.coeffs(a), e, f.modulus, f.p) == power
+            assert f.pow(a, e) == f._encode(power)
+            power = gf._poly_mulmod(power, f.coeffs(a), f.modulus, f.p)
         if a:
             assert f._mul_poly(a, f.inv(a)) == 1
             assert f.pow(a, q - 1) == 1

@@ -115,7 +115,7 @@ def test_codeword_matrix_lists_the_reference_words(q, block_rows):
 
 # (q, k, B, n): stacks whose shapes _by_points leaves to the block pass
 STACKS = [(3, 4, 30, 20), (4, 4, 20, 65), (9, 3, 25, 12), (8, 3, 10, 129), (27, 3, 4, 30),
-          (5, 4, 20, 20), (25, 3, 4, 30)]
+          (3, 3, 8, 64), (3, 4, 5, 129), (5, 4, 20, 20), (25, 3, 4, 30)]
 
 
 @pytest.mark.parametrize("q,k,count,n", STACKS)
@@ -126,6 +126,9 @@ def test_search_stacks_match_reference(q, k, count, n, block_rows):
     expected = [(reference.histogram(fld, g.tolist()),
                  reference.distinct_supports(fld, g.tolist())) for g in gens]
     assert not codes._by_points(q, k, count, n, supports=True)
+    if fld.p <= 3:  # bit planes stay limb-outermost: each plane limb runs along the words
+        tail = codes._stack_layout(fld, gens.transpose(1, 0, 2))[0]
+        assert np.moveaxis(tail, -1, 0).flags.c_contiguous
     for rows in (codes.BLOCK_ROWS, 5):
         block_rows(rows)
         for supports in (False, True):

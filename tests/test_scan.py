@@ -280,7 +280,11 @@ def test_point_pass_qm_on_point_sets():
     (4, 3, 100, 12, True, False),  # B P n < 2^15
     (4, 3, 280, 9, False, False),  # n < 2 |H|
     (3, 4, 16, 60, False, False),  # 32 P > B n
-    (3, 4, 200, 78, False, True),
+    # (3, 4) stacks keep the point pass past the threshold: blocks beat a
+    # cold incidence at each of these shapes, but a cached one, as in a
+    # search's later batches, beats blocks at nearly all of them
+    *[(3, 4, count, n, False, (count, n) not in [(20, 26), (20, 40)])
+      for n in (26, 40, 64, 65, 78, 128) for count in (20, 50, 200, 300)],
     (3, 4, 273, 60, False, True),
     (3, 4, 273, 60, True, False),  # supports past k = 3
     (3, 9, 1, 20, True, False),  # the verify workload's codes: |H| > n
