@@ -40,12 +40,12 @@ swapping the two negates (_add).  Over p >= 5 they are the m base-p digit
 planes, the elements themselves for prime q, added mod p.  The pass reads a
 word only through its support as a bit set (_key): the OR of its bit planes,
 or the packed columns where some digit is nonzero.  Its popcount is the
-weight, and it is the key the QM check compares.  Words come in blocks of
-at most BLOCK_ROWS rows (codeword_matrix): a larger code reuses the span of
-its last rows for every prefix of the leading ones.  A block holds
-rows x (p - 1) m ceil(n / 64) limbs for p <= 3, else rows x m n digits of
-one byte while two of them sum below 256, and the support keys made from
-them.
+weight; the QM check sorts it folded to one uint64 and settles ties on the
+full keys (_distinct_rows).  Words come in blocks of at most BLOCK_ROWS rows
+(codeword_matrix): a larger code reuses the span of its last rows for every
+prefix of the leading ones.  A block holds rows x (p - 1) m ceil(n / 64)
+limbs for p <= 3, else rows x m n digits of one byte while two of them sum
+below 256, and the support keys made from them.
 
 Both passes take a stack of B generators, shape (k, B, n): a single code is
 a stack of one (_enumerate), and searches stack their candidates B at a
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -83,15 +83,20 @@ class RankDeficientError(ValueError):
 
 
 def gf_rank(fld: GF, rows) -> int:
-    """Rank of a matrix over GF(q) by Gaussian elimination on numpy rows.
-
-    The matrix is held transposed, one array row per column, so its
-    nonzero entries come in column order.  Each step takes the first
-    entry as the pivot v, in column c and row r, subtracts (f / v) times
-    row r from each other row with an entry f != 0 in column c, and clears
-    row r; the rank is the number of steps.  The products come off the
-    log/exp tables, and differences are XOR for p = 2 and mod p on base-p
-    digits otherwise."""
+    """Rank of a matrix over GF(q): the steps of a Gaussian elimination.
+    Over GF(2) the rows are int bit sets, and a step XORs the largest row
+    into each row holding its top bit: x becomes min(x, x ^ pivot).  Else
+    the matrix is held transposed on numpy rows, nonzero entries in column
+    order; a step takes the first, v in column c and row r, as the pivot,
+    subtracts (f / v) row r from each other row with f != 0 in column c and
+    clears row r, on the log/exp tables, by XOR or mod p on digits."""
+    if fld.q == 2:
+        packed = np.packbits(np.array(rows, dtype=bool, ndmin=2), axis=1)
+        bits, rank = [x for row in packed if (x := int.from_bytes(row.tobytes(), "big"))], 0
+        while bits:
+            pivot, rank = max(bits), rank + 1
+            bits = [y for x in bits if (y := min(x, x ^ pivot))]
+        return rank
     k = len(rows)
     mat = np.array(rows, dtype=np.int64, ndmin=2, order="F").T
     rank = 0
@@ -375,10 +380,9 @@ def _stack_layout(fld: GF, rows: np.ndarray):
 
 
 @lru_cache(maxsize=1)
-def _layout(code: LinearCode):
-    """The code's _stack_layout, cached for the code last enumerated so that
-    the blocks of one pass share it."""
-    layout = _stack_layout(code.field, np.array(code.generator, dtype=np.int64))
+def _layout(fld: GF, generator: tuple):
+    """The last generator's _stack_layout, for its blocks and every profile."""
+    layout = _stack_layout(fld, np.array(generator, dtype=np.int64))
     layout[0].flags.writeable = False  # block 0 itself, handed to every caller
     return layout
 
@@ -389,7 +393,7 @@ def codeword_matrix(code: LinearCode, block: int = 0, packed: bool = False) -> n
     Blocks 0, 1, ... together list projective_representatives' messages.
     With packed, the words stay the planes the block pass reads (_lift): a
     row of (p - 1) m ceil(n / 64) uint64 limbs for p <= 3, else m n digits."""
-    tail, span, prefixes = _layout(code)
+    tail, span, prefixes = _layout(code.field, code.generator)
     words = tail if block == 0 else _add(code.field, prefixes[block - 1], span)
     return words if packed else _elements(code.field, words, code.n)
 
@@ -453,32 +457,39 @@ def _weights(multiplicities, mask: np.ndarray) -> np.ndarray:
     return sums.astype(object if wide else np.int64) @ [1 << s for s in shifts]
 
 
+def _fingerprints(keys: np.ndarray) -> np.ndarray:
+    """Keys (words, candidates, limbs) folded to one uint64, f M + limb, M odd."""
+    return reduce(lambda f, limb: f * np.uint64(0x9E3779B97F4A7C15) + limb, keys.transpose(2, 0, 1))
+
+
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
     """The number of distinct key rows of each candidate, for keys of shape
-    (words, candidates, key columns)."""
-    # One key column (at most 64 columns of support) sorts along the words.
-    # Several columns sort candidate by candidate in one lexsort: it is
-    # stable, so equal rows sit next to each other in candidate order, and a
-    # row starts a new group when its key or its candidate changes.
-    if keys.shape[2] == 1:
-        keys = np.sort(keys[..., 0], axis=0)
-        return 1 + np.count_nonzero(keys[1:] != keys[:-1], axis=0)
-    words, count = keys.shape[:2]
-    ids = np.repeat(np.arange(count), words)
-    keys = keys.transpose(1, 0, 2).reshape(count * words, -1)
-    order = np.lexsort(keys.T)
-    keys, ids = keys[order], ids[order]
-    new = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1) | (ids[1:] != ids[:-1])])
-    return np.bincount(ids[new], minlength=count)
+    (words, candidates, limbs): its distinct fingerprints, by one sort along
+    the words, plus, past one limb, each later key of a run of tied
+    fingerprints, counted by one np.unique over the runs that hold two keys."""
+    prints = _fingerprints(keys)
+    ranked = np.sort(prints, axis=0)
+    distinct = len(keys) - np.count_nonzero(ranked[1:] == ranked[:-1], axis=0)
+    if keys.shape[2] > 1 and len(tied := np.flatnonzero(distinct < len(keys))):
+        order = np.argsort(prints[:, tied], axis=0)
+        prints, keys = prints[order, tied], keys[order, tied]
+        split = (prints[1:] == prints[:-1]) & (keys[1:] != keys[:-1]).any(axis=2)
+        if split.any():
+            chosen = np.nonzero(np.isin(prints, prints[1:][split]))
+            rows = np.column_stack([tied[chosen[1]].astype(np.uint64), prints[chosen], keys[chosen]])
+            rows = np.unique(rows, axis=0)  # sorted by candidate, fingerprint, key
+            np.add.at(distinct, rows[1:, 0][(rows[1:, :2] == rows[:-1, :2]).all(axis=1)], 1)
+    return distinct
 
 
 def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     """The block pass over a stack of codes of shape (k, B, n), each block
     (words, B, planes) words (_lift): (weights, qm), as _pass returns them.
     For one code with multiplicities, whose weights can exceed n and 2^63,
-    weights is instead a list of each block's exact word weights
-    (_weights).  A word is read only through its support bit set (_key):
-    its popcount is the weight, and the keys are the supports compared."""
+    weights is instead a list of each block's exact word weights (_weights).
+    A word is read only through its support bit set (_key): its popcount is
+    the weight, and _distinct_rows compares the keys by one uint64
+    fingerprint each, settling fingerprint ties on the full keys."""
     k, count, n = shape
     if multiplicities:
         weights = []

@@ -14,13 +14,15 @@ profile (1, 2, 4, ...) carries all the weight information.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .codes import (
     LinearCode,
     _check_guard,
+    _enumerate,
     projective_representative_count,
     projective_representatives,
     spectrum_report,
-    weight_spectrum,
 )
 from .gf import build_field
 
@@ -90,8 +92,8 @@ def mws_pipeline(q: int, k: int, source: str | LinearCode = "identity") -> tuple
     source is "identity", "simplex", or an already-built plain LinearCode.
     The QM hypothesis is checked, not trusted: a non-QM source raises
     NotQuasiMinimalError, and the embedded output is re-verified through
-    multiplicity-aware weights.  One pass over each code serves: the base's
-    report carries its QM verdict, and the embedded spectrum its MWS verdict.
+    multiplicity-aware weights.  One pass per code: the base's report gives
+    its QM verdict, the embedded code's distinct weights its MWS verdict.
     """
     if isinstance(source, LinearCode):
         base = source
@@ -113,7 +115,9 @@ def mws_pipeline(q: int, k: int, source: str | LinearCode = "identity") -> tuple
             f"{source_name} [{base.n},{base.k}]_{base.q} source is not quasi-minimal"
         )
     embedded = embed_f(base)
-    spec = weight_spectrum(embedded)
+    weights = _enumerate(embedded, supports=False)[0]  # on the base's cached words; n = 1 is plain
+    distinct = int(np.count_nonzero(weights) if embedded.is_plain
+                   else len(np.unique(np.concatenate(weights))))
     report = {
         "construction": source_name,
         "base": base_report,
@@ -122,8 +126,8 @@ def mws_pipeline(q: int, k: int, source: str | LinearCode = "identity") -> tuple
             "k": embedded.k,
             "base_length": embedded.n,
             "effective_length": embedded.effective_length,
-            "distinct_weights": spec.L,
-            "is_mws": spec.L == projective_representative_count(embedded.q, embedded.k),
+            "distinct_weights": distinct,
+            "is_mws": distinct == projective_representative_count(embedded.q, embedded.k),
         },
     }
     return embedded, report

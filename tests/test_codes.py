@@ -156,6 +156,15 @@ def test_gf_rank_matches_scalar_elimination(q):
         assert codes.gf_rank(fld, rows) == rank
         ranks.add((rank, rank == min(k, n)))
     assert {(0, False), (1, True), (2, False), (3, True)} <= ranks
+    if q == 2:  # int bit-set rows: up to 16 rows of up to 2000 columns, over byte edges
+        wide = set()
+        for _ in range(60):
+            k, n, r = rng.integers(1, 17), rng.integers(1, 2001), rng.integers(0, 17)
+            rows = (rng.integers(0, 2, (k, r)) @ rng.integers(0, 2, (r, n)) % 2).tolist()
+            rank = reference.gf_rank(fld, rows)
+            assert codes.gf_rank(fld, rows) == rank
+            wide.add(rank == min(k, n))
+        assert wide == {False, True}
 
 
 def test_bad_multiplicities_rejected():

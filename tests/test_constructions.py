@@ -2,7 +2,7 @@
 
 import pytest
 
-from mwscodes import constructions
+from mwscodes import codes, constructions
 from mwscodes.codes import EnumerationTooLargeError
 from mwscodes import (
     NotQuasiMinimalError,
@@ -106,12 +106,25 @@ def test_generalized_repetition_length_mismatch():
         generalized_repetition(identity_code(2, 3), (1, 2))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_pipeline_identity_binary(k):
+    # k = 1 embeds into a plain [1, 1] code, counted by histogram
     code, report = mws_pipeline(2, k, "identity")
     assert code.effective_length == 2**k - 1
     assert report["embedded"]["is_mws"] is True
+    assert type(report["embedded"]["distinct_weights"]) is int
     assert report["embedded"]["distinct_weights"] == 2**k - 1
+
+
+def test_pipeline_builds_the_base_words_once(monkeypatch):
+    # the embedded code has the base's generator, so it reuses its layout
+    built = []
+    stack_layout = codes._stack_layout
+    monkeypatch.setattr(codes, "_stack_layout", lambda *args: built.append(1) or stack_layout(*args))
+    codes._layout.cache_clear()
+    _, report = mws_pipeline(3, 3, "simplex")
+    codes._layout.cache_clear()
+    assert report["embedded"]["distinct_weights"] == 13 and len(built) == 1
 
 
 def test_pipeline_simplex():
