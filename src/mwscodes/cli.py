@@ -373,8 +373,9 @@ def _run(args) -> int:
         return _command_function(args.command)(args)
     except BrokenPipeError:
         raise  # for main: the handlers below would write to the closed stdout
-    except (NotPrimePowerError, ValueError, FileNotFoundError,
-            constructions.NotQuasiMinimalError) as exc:
+    # a path naming no usable file is bad input; EIO or a full disk is not
+    except (NotPrimePowerError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError, constructions.NotQuasiMinimalError) as exc:
         if isinstance(exc, constructions.NotQuasiMinimalError):
             _diag(f"verification failed: {exc}")
             _emit({"error": "NotQuasiMinimal", "detail": str(exc)})

@@ -1,10 +1,11 @@
 """Linear codes over GF(q) with per-column multiplicities.
 
-A LinearCode stores a k x n generator matrix plus a multiplicity profile
-(m_0, ..., m_{n-1}).  Column i of the base code stands for m_i identical
-columns of an effective code of length N = sum(m_i), which is never
-materialized: a word's weight is the sum of m_i over its support, exact
-for any N (e.g. m_i = 2^i) from int64 limbs of the m_i (_weights).
+A LinearCode stores a k x n generator matrix, also as one read-only int64
+array, plus a multiplicity profile (m_0, ..., m_{n-1}).  Column i of the
+base code stands for m_i identical columns of an effective code of length
+N = sum(m_i), which is never materialized: a word's weight is the sum of
+m_i over its support, exact for any N (e.g. m_i = 2^i) from int64 limbs of
+the m_i (_weights).
 
 Weight spectra, the maximum-weight-spectrum (MWS) and quasi-minimal (QM)
 predicates, and the quadratic weight-collision criterion all live here.
@@ -48,10 +49,10 @@ limbs for p <= 3, else rows x m n digits of one byte while two of them sum
 below 256, and the support keys made from them.
 
 Both passes take a stack of B generators, shape (k, B, n): a single code is
-a stack of one (_enumerate), and searches stack their candidates B at a
-time (_histograms).  A plain code's weights are an offset bincount with
-n + 1 bins per code; only a code with multiplicities, whose weights can
-exceed n, keeps each word's exact weight (_weights) instead.
+a stack of one, its blocks cached (_enumerate), and searches stack their
+candidates B at a time.  A plain code's weights are an offset bincount with
+n + 1 bins per code; a profile's, which can exceed n, are exact (_weights),
+and the doubling embedding counts them on the base code's own words.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import chain
 
 import numpy as np
 
@@ -127,7 +129,8 @@ class LinearCode:
 
     Construction rejects rank-deficient generators (RankDeficientError): every
     statement about these codes assumes dimension exactly k, so silently
-    reducing k would poison downstream results.
+    reducing k would poison downstream results.  array holds the generator
+    as a read-only int64 array; it is no field, so repr and == ignore it.
     """
 
     field: GF
@@ -143,15 +146,21 @@ class LinearCode:
             raise ValueError("generator rows have unequal lengths")
         if n == 0:
             raise ValueError("generator needs at least one column")
-        if min(map(min, self.generator)) < 0 or max(map(max, self.generator)) >= self.field.q:
+        try:
+            array = np.array(self.generator, dtype=np.int64)
+        except OverflowError:  # an entry past int64
+            array = None
+        if array is None or array.min() < 0 or array.max() >= self.field.q:
             raise ValueError("generator entry outside [0, q)")
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
         if not self.multiplicities:
             object.__setattr__(self, "multiplicities", (1,) * n)
         if len(self.multiplicities) != n:
             raise ValueError("multiplicity profile length differs from n")
         if any(m < 1 for m in self.multiplicities):
             raise ValueError("multiplicities must be >= 1")
-        if gf_rank(self.field, self.generator) != k:
+        if gf_rank(self.field, array) != k:
             raise RankDeficientError(f"generator does not have full rank {k}")
 
     @property
@@ -176,7 +185,7 @@ class LinearCode:
         return self.effective_length == self.n  # every m_i >= 1
 
     def has_zero_column(self) -> bool:
-        return not all(map(any, zip(*self.generator)))
+        return not self.array.any(axis=0).all()
 
     def __repr__(self) -> str:
         return (
@@ -380,9 +389,10 @@ def _stack_layout(fld: GF, rows: np.ndarray):
 
 
 @lru_cache(maxsize=1)
-def _layout(fld: GF, generator: tuple):
-    """The last generator's _stack_layout, for its blocks and every profile."""
-    layout = _stack_layout(fld, np.array(generator, dtype=np.int64))
+def _layout(code: LinearCode):
+    """The last code's _stack_layout, for its blocks and any profile, keyed
+    on the code itself (LinearCode hashes by identity), not on its rows."""
+    layout = _stack_layout(code.field, code.array)
     layout[0].flags.writeable = False  # block 0 itself, handed to every caller
     return layout
 
@@ -393,7 +403,7 @@ def codeword_matrix(code: LinearCode, block: int = 0, packed: bool = False) -> n
     Blocks 0, 1, ... together list projective_representatives' messages.
     With packed, the words stay the planes the block pass reads (_lift): a
     row of (p - 1) m ceil(n / 64) uint64 limbs for p <= 3, else m n digits."""
-    tail, span, prefixes = _layout(code.field, code.generator)
+    tail, span, prefixes = _layout(code)
     words = tail if block == 0 else _add(code.field, prefixes[block - 1], span)
     return words if packed else _elements(code.field, words, code.n)
 
@@ -486,16 +496,13 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     """The block pass over a stack of codes of shape (k, B, n), each block
     (words, B, planes) words (_lift): (weights, qm), as _pass returns them.
     For one code with multiplicities, whose weights can exceed n and 2^63,
-    weights is instead a list of each block's exact word weights (_weights).
+    weights is instead np.unique's (weights, counts) of its words (_weights).
     A word is read only through its support bit set (_key): its popcount is
     the weight, and _distinct_rows compares the keys by one uint64
     fingerprint each, settling fingerprint ties on the full keys."""
     k, count, n = shape
-    if multiplicities:
-        weights = []
-    else:
-        weights = np.zeros((count, n + 1), dtype=np.int64)
-        offsets = (n + 1) * np.arange(count)
+    weights = [] if multiplicities else np.zeros((count, n + 1), dtype=np.int64)
+    offsets = (n + 1) * np.arange(count)
     keys = []
     for words in blocks:
         key = _key(fld, words)
@@ -508,6 +515,8 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
             weights += flat.reshape(count, n + 1)
         if supports:
             keys.append(key)
+    if multiplicities:
+        weights = np.unique(np.concatenate(weights), return_counts=True)
     if not supports:
         return weights, None
     distinct = _distinct_rows(np.concatenate(keys))
@@ -643,58 +652,48 @@ def _point_pass(fld: GF, stack: np.ndarray, supports: bool):
     return weights, ~clash
 
 
-def _pass(fld: GF, stack: np.ndarray, supports: bool, blocks, multiplicities=None):
+def _pass(fld: GF, stack: np.ndarray, supports: bool, blocks=None, multiplicities=None):
     """The one weight pass over the codes stacked in stack (k, B, n), a
-    stack of one for a single code: (weights, qm).  blocks lazily yields
-    the stack's enumeration blocks as _lift words, so none is built
-    before the guard passes or when the point pass runs; plain codes of
-    the shapes _by_points picks take the point pass instead.
+    stack of one for a single code: (weights, qm).  Plain codes of the
+    shapes _by_points picks take the point pass, the others _tally over
+    blocks, which lazily yields the stack's _lift words, or else over the
+    words of its _stack_layout, built one block at a time after the guard.
 
-    weights counts each code's words by weight, shape (B, n + 1).  Bin 0 is
-    empty exactly for a full-rank code; such a code is MWS when no bin
-    exceeds 1, and its minimum distance is its first nonzero bin.  qm tells
-    for each code whether its projective words have pairwise distinct
+    weights counts each code's words by weight, shape (B, n + 1), or is
+    _tally's (weights, counts) under multiplicities.  Bin 0 is empty
+    exactly for a full-rank code; such a code is MWS when no bin exceeds
+    1, and its minimum distance is its first nonzero bin.  qm tells for
+    each code whether its projective words have pairwise distinct
     supports, or is None without supports."""
     k, count, n = stack.shape
     _check_guard(fld.q, k)
     if multiplicities is None and _by_points(fld.q, k, count, n, supports):
         return _point_pass(fld, stack, supports)
+    if blocks is None:
+        tail, span, prefixes = _stack_layout(fld, stack)
+        blocks = chain([tail], (_add(fld, prefix, span) for prefix in prefixes))
     return _tally(fld, stack.shape, blocks, supports, multiplicities)
 
 
-def _enumerate(code: LinearCode, supports: bool):
+def _enumerate(code: LinearCode, supports: bool, multiplicities=None):
     """The code's _pass, as a stack of one whose blocks come from
     codeword_matrix, plane words packed: (its weights, whether its supports
-    are pairwise distinct, or None without supports)."""
+    are pairwise distinct, or None without supports), under multiplicities
+    if given, else under the code's own profile."""
     blocks = (codeword_matrix(code, block, packed=True)[:, None]
               for block in range(_block_count(code.q, code.k)))
-    stack = np.array(code.generator, dtype=np.int64)[:, None]
-    weights, qm = _pass(code.field, stack, supports, blocks,
-                        None if code.is_plain else code.multiplicities)
+    weights, qm = _pass(code.field, code.array[:, None], supports, blocks,
+                        multiplicities or (None if code.is_plain else code.multiplicities))
     return weights, None if qm is None else bool(qm[0])
 
 
 def _spectrum(code: LinearCode, weights) -> WeightSpectrum:
-    """The spectrum from _enumerate's weights, a histogram row for a plain
-    code and otherwise each block's word weights, counted by np.unique (as
-    fast as a Counter on Python integers); each count scales by q - 1."""
+    """The spectrum from _enumerate's weights: a histogram row for a plain
+    code, and otherwise the (weights, counts) pair of np.unique, as fast as
+    a Counter on Python integers.  Each count scales by q - 1."""
     q1 = code.q - 1
-    if code.is_plain:
-        pairs = enumerate(weights[0].tolist())
-    else:
-        pairs = zip(*(a.tolist() for a in np.unique(np.concatenate(weights), return_counts=True)))
+    pairs = enumerate(weights[0].tolist()) if code.is_plain else zip(*(a.tolist() for a in weights))
     return WeightSpectrum({w: c * q1 for w, c in pairs if c})
-
-
-def _histograms(fld: GF, stack: np.ndarray, supports: bool):
-    """The _pass over the plain codes stacked in stack (k, B, n)."""
-    def blocks():
-        tail, span, prefixes = _stack_layout(fld, stack)
-        yield tail
-        for prefix in prefixes:
-            yield _add(fld, prefix, span)
-
-    return _pass(fld, stack, supports, blocks())
 
 
 def weight_spectrum(code: LinearCode) -> WeightSpectrum:

@@ -14,8 +14,6 @@ profile (1, 2, 4, ...) carries all the weight information.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .codes import (
     LinearCode,
     _check_guard,
@@ -92,8 +90,9 @@ def mws_pipeline(q: int, k: int, source: str | LinearCode = "identity") -> tuple
     source is "identity", "simplex", or an already-built plain LinearCode.
     The QM hypothesis is checked, not trusted: a non-QM source raises
     NotQuasiMinimalError, and the embedded output is re-verified through
-    multiplicity-aware weights.  One pass per code: the base's report gives
-    its QM verdict, the embedded code's distinct weights its MWS verdict.
+    multiplicity-aware weights.  One set of words: the base's report gives
+    its QM verdict, and its words weighted by the embedded profile give the
+    embedded code's distinct weights, so its MWS verdict.
     """
     if isinstance(source, LinearCode):
         base = source
@@ -115,9 +114,7 @@ def mws_pipeline(q: int, k: int, source: str | LinearCode = "identity") -> tuple
             f"{source_name} [{base.n},{base.k}]_{base.q} source is not quasi-minimal"
         )
     embedded = embed_f(base)
-    weights = _enumerate(embedded, supports=False)[0]  # on the base's cached words; n = 1 is plain
-    distinct = int(np.count_nonzero(weights) if embedded.is_plain
-                   else len(np.unique(np.concatenate(weights))))
+    distinct = len(_enumerate(base, False, embedded.multiplicities)[0][0])
     report = {
         "construction": source_name,
         "base": base_report,

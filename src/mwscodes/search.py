@@ -55,7 +55,7 @@ from .bounds import _unlimited_int_str, eqbound_value, lambda_q
 from .codes import (
     LinearCode,
     RankDeficientError,
-    _histograms,
+    _pass,
     is_mws,
     is_qm,
     projective_representative_count,
@@ -410,13 +410,13 @@ def _candidates(q: int, k: int, n: int, mode: str, seed: int, lo: int, hi: int,
                                          np.zeros(top - first, dtype=bool))
         else:
             gens = _systematic(q, k, n, first, top)
-        hist, qm = _histograms(fld, gens.transpose(1, 0, 2), supports)
+        hist, qm = _pass(fld, gens.transpose(1, 0, 2), supports)
         r = 0
         while len(redrawn := _redrawn(hist, qm, accept)):  # one pass per round
             r += 1
             gens[redrawn], flagged[redrawn] = _trial_draws(seed, first + redrawn, r, q, k, n,
                                                            flagged[redrawn])
-            hist[redrawn], found = _histograms(fld, gens[redrawn].transpose(1, 0, 2), supports)
+            hist[redrawn], found = _pass(fld, gens[redrawn].transpose(1, 0, 2), supports)
             if supports:
                 qm[redrawn] = found
         yield first, gens, hist, qm

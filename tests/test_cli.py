@@ -695,13 +695,41 @@ def test_construct_repetition_from_file(capsys, tmp_path):
     (["construct", "simplex", "--q", "3", "--k", "0"], "dimension must be >= 1"),
     (["construct", "identity", "--q", "3", "--k", "0"], "dimension must be >= 1"),
     (["verify", "--in", "{mat}"], "generator entry outside [0, q)"),
+    (["verify", "--in", "{huge}"], "generator entry outside [0, q)"),
+    (["verify", "--in", "{negative}"], "generator entry outside [0, q)"),
 ])
 def test_bad_arguments_exit_2_with_their_detail(capsys, tmp_path, argv, detail):
-    mat = tmp_path / "m.mat"
-    mat.write_text("3 1 2\n1 3\n")  # entry 3 lies outside GF(3)
-    status, payload = run(capsys, *(str(mat) if a == "{mat}" else a for a in argv))
+    # entries outside GF(3): 3, and two past int64 either way
+    files = {"{mat}": "1 3", "{huge}": f"1 {10**30}", "{negative}": f"1 {-10**30}"}
+    for name, row in files.items():
+        (tmp_path / name).write_text(f"3 1 2\n{row}\n")
+    status, payload = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
     assert status == cli.EXIT_BAD_INPUT == 2
     assert payload["detail"] == detail
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--in", "{dir}"], "IsADirectoryError"),
+    (["construct", "simplex", "--q", "3", "--k", "2", "--out", "{dir}"], "IsADirectoryError"),
+    (["search", "--q", "3", "--k", "2", "--n", "6", "--mode", "exhaustive",
+      "--witness-out", "{dir}"], "IsADirectoryError"),
+    (["verify", "--in", "{file}/m.mat"], "NotADirectoryError"),
+    (["verify", "--in", "{file}"], "PermissionError"),
+])
+def test_unusable_paths_exit_2_without_a_traceback(capsys, monkeypatch, tmp_path, argv, error):
+    # root ignores file modes, so an unreadable file is a patched read_text
+    file = tmp_path / "m.mat"
+    file.write_text("3 2 4\n1 0 1 1\n0 1 1 2\n")
+    if error == "PermissionError":
+        def refused(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refused)
+    status = main([a.replace("{dir}", str(tmp_path)).replace("{file}", str(file)) for a in argv])
+    out = capsys.readouterr()
+    assert status == cli.EXIT_BAD_INPUT == 2
+    assert json.loads(out.out)["error"] == error
+    assert "Traceback" not in out.err and out.err.startswith("invalid input: ")
 
 
 HUGE_PRIME = 999999999999999989  # trial division would take about 10^9 steps

@@ -288,6 +288,9 @@ def test_matrix_parse_errors():
     (lambda: make_code(3, [[]]), "generator needs at least one column"),
     (lambda: make_code(3, [[1, 3]]), "generator entry outside [0, q)"),
     (lambda: make_code(3, [[1, -1]]), "generator entry outside [0, q)"),
+    # past int64, where the int64 conversion of the generator overflows
+    (lambda: make_code(3, [[1, 10**30]]), "generator entry outside [0, q)"),
+    (lambda: make_code(3, [[1, -10**30]]), "generator entry outside [0, q)"),
     (lambda: loads_code("3 2 2\n1 0\n0 1 2\n"), "rows must have exactly n=2 entries"),
     (lambda: codeword(make_code(3, [[1, 0], [0, 1]]), (1,)), "message length differs from k"),
 ])

@@ -117,7 +117,7 @@ def test_pipeline_identity_binary(k):
 
 
 def test_pipeline_builds_the_base_words_once(monkeypatch):
-    # the embedded code has the base's generator, so it reuses its layout
+    # the embedded profile is counted on the base code's own cached words
     built = []
     stack_layout = codes._stack_layout
     monkeypatch.setattr(codes, "_stack_layout", lambda *args: built.append(1) or stack_layout(*args))

@@ -48,7 +48,7 @@ def check_against_reference(q, k, gens):
     points = (q**k - 1) // (q - 1)
     expected = [reference.distinct_supports(fld, g.tolist()) for g in gens]
     assert codes._distinct_rows(support_keys(fld, gens)).tolist() == expected
-    _, qm = codes._histograms(fld, gens.transpose(1, 0, 2), supports=True)
+    _, qm = codes._pass(fld, gens.transpose(1, 0, 2), supports=True)
     assert qm.tolist() == [d == points for d in expected]
     for gen, distinct in zip(gens, expected):
         if codes.gf_rank(fld, gen.tolist()) == k:

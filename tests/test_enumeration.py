@@ -154,6 +154,25 @@ def test_spectrum_report_enumerates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_code_builds_its_layout_once(block_rows, monkeypatch):
+    # the layout is cached on the code object, not on its rows: a report
+    # reads every block of one build, and a code with an equal generator
+    # builds its own
+    built = []
+    stack_layout = codes._stack_layout
+    monkeypatch.setattr(codes, "_stack_layout", lambda *args: built.append(1) or stack_layout(*args))
+    block_rows(10)
+    code = simplex(3, 4)
+    assert codes._block_count(3, 4) > 1
+    report = spectrum_report(code)
+    assert len(built) == 1
+    assert spectrum_report(codes.LinearCode(code.field, code.generator)) == report
+    assert len(built) == 2
+    assert code.array.dtype == np.int64 and code.array.tolist() == [list(r) for r in code.generator]
+    with pytest.raises(ValueError, match="read-only"):
+        code.array[0, 0] = 0
+
+
 def no_supports(mask):
     raise AssertionError("supports computed")
 

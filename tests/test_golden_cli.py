@@ -145,9 +145,14 @@ def test_golden_payload(index, tmp_path):
     assert (got["exit"], got["stdout"]) == (golden["exit"], golden["stdout"])
 
 
-def _schema_name(argv: list[str]) -> str | None:
-    """The schema a command's JSON payload follows, if one covers it."""
-    if argv[0] == "verify" or (argv[0] == "construct" and argv[1] != "embed"):
+def _schema_name(argv: list[str], status: int) -> str | None:
+    """The schema a command's JSON payload follows, if one covers it: an
+    error's for exits 2 to 4 and for embed's exit 1, a non-QM source."""
+    if status >= 2 or (status == 1 and argv[:2] == ["construct", "embed"]):
+        return "error"
+    if argv[0] == "construct":
+        return "embed_report" if argv[1] == "embed" else "spectrum_report"
+    if argv[0] == "verify":
         return "spectrum_report"
     if argv[0] == "search":
         return "gv_search_report" if "--gv" in argv else "search_report"
@@ -163,17 +168,18 @@ def test_golden_payloads_follow_their_schemas():
 
     checked = 0
     for golden in _golden():
-        name = _schema_name(golden["argv"])
-        if golden["exit"] not in (0, 1) or name is None:  # 1: a verdict failed
+        name = _schema_name(golden["argv"], golden["exit"])  # exit 1 elsewhere: a verdict failed
+        if name is None:
             continue
         schema = json.loads((SCHEMAS / f"{name}.schema.json").read_text())
         with _unlimited_int_str():  # bounds cells past 4300 digits
             payload = json.loads(golden["stdout"])
         jsonschema.validate(payload, schema)
         checked += 1
-    # 24 verify, 12 construct (simplex, identity, repetition), 11 search
-    # (3 GV), 3 montecarlo, 3 JSON bounds
-    assert checked == 53
+    # 24 verify, 12 construct (simplex, identity, repetition), 7 construct
+    # embed, 11 search (3 GV), 3 montecarlo, 3 JSON bounds and 4 errors
+    # (exits 1, 2, 2, 3)
+    assert checked == 64
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ def test_packed_histograms_and_spectra_match_reference(k, block_rows):
             spectrum = {w: c for w, c in enumerate(expected) if c}
         for rows in block_sizes(k):
             block_rows(rows)
-            hist, qm = codes._histograms(FIELD, gen[:, None], supports=False)
+            hist, qm = codes._pass(FIELD, gen[:, None], supports=False)
             assert hist.tolist() == [expected] and qm is None
             if full_rank:
                 assert weight_spectrum(code).counts == spectrum
@@ -121,7 +121,7 @@ def test_search_stacks_match_reference(k, count, n, monkeypatch):
     for rows in (codes.BLOCK_ROWS, 5):
         monkeypatch.setattr(codes, "BLOCK_ROWS", rows)
         for supports in (False, True):
-            hist, qm = codes._histograms(FIELD, gens.transpose(1, 0, 2), supports)
+            hist, qm = codes._pass(FIELD, gens.transpose(1, 0, 2), supports)
             assert hist.tolist() == [h for h, _ in expected]
             if supports:  # the packed words are their own support keys
                 assert qm.tolist() == [d == 2**k - 1 for _, d in expected]

@@ -132,7 +132,7 @@ def test_search_stacks_match_reference(q, k, count, n, block_rows):
     for rows in (codes.BLOCK_ROWS, 5):
         block_rows(rows)
         for supports in (False, True):
-            hist, qm = codes._histograms(fld, gens.transpose(1, 0, 2), supports)
+            hist, qm = codes._pass(fld, gens.transpose(1, 0, 2), supports)
             assert hist.tolist() == [h for h, _ in expected]
             if supports:
                 assert qm.tolist() == [d == (q**k - 1) // (q - 1) for _, d in expected]

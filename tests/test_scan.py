@@ -165,7 +165,7 @@ def test_histograms_match_reference_per_candidate(q, monkeypatch):
                  reference.distinct_supports(fld, gen.tolist())) for gen in stack]
     for rows in BLOCK_SIZES:
         monkeypatch.setattr(codes, "BLOCK_ROWS", rows)
-        hist, qm = codes._histograms(fld, stack.transpose(1, 0, 2), supports=True)
+        hist, qm = codes._pass(fld, stack.transpose(1, 0, 2), supports=True)
         assert [h.tolist() for h in hist] == [h for h, _ in expected]
         assert qm.tolist() == [d == points for _, d in expected]
         _, blocks = block_pass(fld, stack.transpose(1, 0, 2), supports=True)

@@ -76,7 +76,7 @@ def test_random_code_entry_marginals():
     samples = 10_000
     for t in range(samples):
         code = random_code(2, 2, 4, trial_rng(7, t))
-        counts += np.array(code.generator)
+        counts += code.array
     freq = counts / samples
     assert np.all(np.abs(freq - 8 / 15) < 0.02)
 
@@ -88,7 +88,7 @@ def test_random_code_entry_marginals_long():
     samples = 10_000
     for t in range(samples):
         code = random_code(2, 2, 12, trial_rng(7, t))
-        counts += np.array(code.generator)
+        counts += code.array
     freq = counts / samples
     assert np.all(np.abs(freq - 0.5) < 0.02)
 

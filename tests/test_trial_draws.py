@@ -215,10 +215,10 @@ def test_scan_matches_reference_across_draw_ahead_edges(q, k, n, block_rows, mon
 
 
 def record_calls(monkeypatch):
-    """Patch _trial_draws and _histograms to log ("draw", r, trials) and
+    """Patch _trial_draws and _pass to log ("draw", r, trials) and
     ("hist", candidates) in call order."""
     calls = []
-    real_draws, real_histograms = search_mod._trial_draws, search_mod._histograms
+    real_draws, real_pass = search_mod._trial_draws, search_mod._pass
 
     def drawing(seed, trials, r, q, k, n, flagged):
         calls.append(("draw", r, len(trials)))
@@ -226,10 +226,10 @@ def record_calls(monkeypatch):
 
     def enumerating(fld, stack, supports):
         calls.append(("hist", stack.shape[1]))  # stack is (k, B, n)
-        return real_histograms(fld, stack, supports)
+        return real_pass(fld, stack, supports)
 
     monkeypatch.setattr(search_mod, "_trial_draws", drawing)
-    monkeypatch.setattr(search_mod, "_histograms", enumerating)
+    monkeypatch.setattr(search_mod, "_pass", enumerating)
     return calls
 
 
