@@ -20,9 +20,11 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii
 
 from . import bounds as bounds_mod
 from . import constructions
@@ -52,8 +54,72 @@ EXIT_INTERNAL = 4
 
 def _emit(payload: dict) -> None:
     with _unlimited_int_str():  # encoded whole: a value JSON cannot hold raises before any write
-        text = json.dumps(payload, indent=2)
+        text = _dumps(payload)
     sys.stdout.write(text + "\n")
+
+
+# The exact types json's encoder writes as scalars; an instance of any other
+# type sends its container through the walk of _dumps.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = (list, tuple, dict)
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _flat_encoder(depth: int):
+    """json's C encoder for the items of a container at depth: separated as
+    indent=2 separates them there, brackets left unbroken."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+# Built once, at import: payloads nest at most five deep.
+_FLAT_ENCODERS = tuple(map(_flat_encoder, range(8)))
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2), byte for byte.  Before Python 3.13, json
+    writes an indented value in pure Python, item by item; here a container
+    whose items are all scalars (a spectrum's counts, a field's modulus) is
+    one call of json's C encoder, and only containers holding containers are
+    walked in Python.  A value JSON cannot hold raises json's TypeError."""
+    if not isinstance(value, _CONTAINERS):
+        return _scalar(value)
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if _SCALAR_TYPES.issuperset(map(type, value.values() if is_dict else value)):
+        inside = depth + 1
+        encode = _FLAT_ENCODERS[inside] if inside < len(_FLAT_ENCODERS) else _flat_encoder(inside)
+        text = encode(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if is_dict:
+        items = [(encode_basestring_ascii(key) if isinstance(key, str) else _key(key)) + ": "
+                 + (_dumps(item, depth + 1) if isinstance(item, _CONTAINERS) else _scalar(item))
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    items = [_dumps(item, depth + 1) if isinstance(item, _CONTAINERS) else _scalar(item)
+             for item in value]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
+def _scalar(value) -> str:
+    """A value that is no list, tuple or dict, as json.dumps writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)  # NaN and ±Infinity, or json's TypeError
+
+
+def _key(key) -> str:
+    """A dict key that is no string, as json.dumps writes it: quoted."""
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(_scalar(key))
 
 
 def _diag(msg: str) -> None:

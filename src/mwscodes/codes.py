@@ -146,12 +146,16 @@ class LinearCode:
             raise ValueError("generator rows have unequal lengths")
         if n == 0:
             raise ValueError("generator needs at least one column")
-        try:
-            array = np.array(self.generator, dtype=np.int64)
-        except OverflowError:  # an entry past int64
-            array = None
-        if array is None or array.min() < 0 or array.max() >= self.field.q:
+        array = np.array(self.generator)  # int64 for Python ints
+        if array.dtype.kind not in "iu":  # past int64, mixed integer types, or no integers
+            # a cast would truncate 1.5 or parse "2", which dumps_code writes unreadably
+            if not all(type(x) is int or isinstance(x, np.integer)
+                       for row in self.generator for x in row):
+                raise ValueError("generator entry is not an integer")
+            array = np.array(self.generator, dtype=object)
+        if array.min() < 0 or array.max() >= self.field.q:
             raise ValueError("generator entry outside [0, q)")
+        array = array.astype(np.int64, copy=False)
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
         if not self.multiplicities:
@@ -458,13 +462,33 @@ def _check_guard(q: int, k: int):
 def _weights(multiplicities, mask: np.ndarray) -> np.ndarray:
     """Exact weight of each word, the sum of m_i over its support, from its
     nonzero mask: one int64 product over w-bit limbs of the m_i, with
-    w = 63 - bit_length(n) so that n limbs sum below 2^63, joined in int64
-    when N < 2^63 and into Python integers otherwise."""
+    w = 63 - bit_length(n) so that n limbs sum below 2^63.  When N < 2^63
+    the limb sums are joined into int64 weights, shape (words,); otherwise
+    they are carried into base-2^w digits, shape (words, limbs + 1), least
+    significant first, each in [0, 2^w)."""
     w = 63 - len(multiplicities).bit_length()
     shifts = range(0, int(max(multiplicities)).bit_length(), w)
     sums = mask @ np.array([[m >> s & (1 << w) - 1 for m in multiplicities] for s in shifts]).T
-    wide = sum(multiplicities) >= 2**63
-    return sums.astype(object if wide else np.int64) @ [1 << s for s in shifts]
+    if sum(multiplicities) < 2**63:
+        return sums @ [1 << s for s in shifts]
+    digits = np.empty((len(sums), len(shifts) + 1), dtype=np.int64)
+    carry = 0
+    for j, column in enumerate(sums.T):  # a sum below n 2^w plus a carry below n stays in int64
+        carry = column + carry
+        digits[:, j] = carry & (1 << w) - 1
+        carry >>= w
+    digits[:, -1] = carry
+    return digits
+
+
+def _distinct_weights(digits: np.ndarray, w: int):
+    """np.unique's (weights, counts) of the weights whose base-2^w digit rows
+    (_weights) are given: one lexsort of the rows, most significant digit
+    first, and only the distinct rows joined into Python integers."""
+    digits = digits[np.lexsort(digits.T)]
+    first = np.flatnonzero(np.r_[True, (digits[1:] != digits[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[first, len(digits)])
+    return digits[first].astype(object) @ [1 << w * j for j in range(digits.shape[1])], counts
 
 
 def _fingerprints(keys: np.ndarray) -> np.ndarray:
@@ -496,7 +520,8 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
     """The block pass over a stack of codes of shape (k, B, n), each block
     (words, B, planes) words (_lift): (weights, qm), as _pass returns them.
     For one code with multiplicities, whose weights can exceed n and 2^63,
-    weights is instead np.unique's (weights, counts) of its words (_weights).
+    weights is instead np.unique's (weights, counts) of its words (_weights),
+    the weights Python integers when N >= 2^63 (_distinct_weights).
     A word is read only through its support bit set (_key): its popcount is
     the weight, and _distinct_rows compares the keys by one uint64
     fingerprint each, settling fingerprint ties on the full keys."""
@@ -516,7 +541,9 @@ def _tally(fld: GF, shape, blocks, supports: bool, multiplicities=None):
         if supports:
             keys.append(key)
     if multiplicities:
-        weights = np.unique(np.concatenate(weights), return_counts=True)
+        weights = np.concatenate(weights)
+        weights = (np.unique(weights, return_counts=True) if weights.ndim == 1
+                   else _distinct_weights(weights, 63 - n.bit_length()))
     if not supports:
         return weights, None
     distinct = _distinct_rows(np.concatenate(keys))
@@ -689,11 +716,13 @@ def _enumerate(code: LinearCode, supports: bool, multiplicities=None):
 
 def _spectrum(code: LinearCode, weights) -> WeightSpectrum:
     """The spectrum from _enumerate's weights: a histogram row for a plain
-    code, and otherwise the (weights, counts) pair of np.unique, as fast as
-    a Counter on Python integers.  Each count scales by q - 1."""
-    q1 = code.q - 1
-    pairs = enumerate(weights[0].tolist()) if code.is_plain else zip(*(a.tolist() for a in weights))
-    return WeightSpectrum({w: c * q1 for w, c in pairs if c})
+    code, and otherwise the (weights, counts) pair of np.unique.  Each count
+    scales by q - 1, in numpy, and the dict is built by one dict(zip(...))
+    over the two lists."""
+    if code.is_plain:
+        found, = weights[0].nonzero()
+        weights = found, weights[0][found]
+    return WeightSpectrum(dict(zip(weights[0].tolist(), (weights[1] * (code.q - 1)).tolist())))
 
 
 def weight_spectrum(code: LinearCode) -> WeightSpectrum:

@@ -288,9 +288,18 @@ def test_matrix_parse_errors():
     (lambda: make_code(3, [[]]), "generator needs at least one column"),
     (lambda: make_code(3, [[1, 3]]), "generator entry outside [0, q)"),
     (lambda: make_code(3, [[1, -1]]), "generator entry outside [0, q)"),
-    # past int64, where the int64 conversion of the generator overflows
+    # past int64, where numpy holds the generator as objects or floats
     (lambda: make_code(3, [[1, 10**30]]), "generator entry outside [0, q)"),
     (lambda: make_code(3, [[1, -10**30]]), "generator entry outside [0, q)"),
+    (lambda: make_code(3, [[1, 2**63]]), "generator entry outside [0, q)"),
+    # an int64 cast would truncate or parse these, and dumps_code would write
+    # text that loads_code refuses
+    (lambda: make_code(3, [[1, 1.5]]), "generator entry is not an integer"),
+    (lambda: make_code(3, [[1, 2.0]]), "generator entry is not an integer"),
+    (lambda: make_code(3, [[1, "2"]]), "generator entry is not an integer"),
+    (lambda: make_code(3, [[1, None]]), "generator entry is not an integer"),
+    (lambda: make_code(3, [[True, False]]), "generator entry is not an integer"),
+    (lambda: make_code(3, [[1, 1.5], [0, 10**30]]), "generator entry is not an integer"),
     (lambda: loads_code("3 2 2\n1 0\n0 1 2\n"), "rows must have exactly n=2 entries"),
     (lambda: codeword(make_code(3, [[1, 0], [0, 1]]), (1,)), "message length differs from k"),
 ])
@@ -298,6 +307,17 @@ def test_malformed_codes_and_messages_are_refused(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+def test_numpy_integer_entries_make_the_same_code():
+    rows = [[1, 0, 2], [0, 1, 1]]
+    plain = make_code(3, rows, mult=(1, 2, 4))
+    mixed = [[np.uint64(1), 0, np.int8(2)], [0, np.uint64(1), 1]]  # numpy holds these as floats
+    for entries in [[[kind(x) for x in row] for row in rows] for kind in (np.int64, np.uint8)] + [mixed]:
+        code = make_code(3, entries, mult=(1, 2, 4))
+        assert code.array.dtype == np.int64 and code.array.tolist() == rows
+        assert loads_code(dumps_code(code)).generator == plain.generator
+        assert spectrum_report(code) == spectrum_report(plain)
 
 
 def test_spectrum_report_shape():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings, strategies as st
 
 from mwscodes import (
+    LinearCode,
     build_field,
     codeword,
     is_mws,
@@ -14,6 +16,7 @@ from mwscodes import (
     qm_sufficient_dD,
     qm_sufficient_dn,
     random_code,
+    spectrum_report,
     trial_rng,
     weight_spectrum,
     weighted_weight,
@@ -137,8 +140,50 @@ def test_limb_weights_match_weighted_weight(n, profile, data):
     rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
     rows += [[True] * n, [False] * n]  # the largest sum, and none
     weights = codes._weights(m, np.array(rows))
+    assert weights.dtype == np.int64
+    assert (weights.ndim == 1) == (sum(m) < 2**63)  # else base-2^w digit rows
+    if weights.ndim == 2:
+        w = 63 - n.bit_length()
+        assert weights.min() >= 0 and weights.max() < 2**w
+        weights = weights.astype(object) @ [1 << w * j for j in range(weights.shape[1])]
     assert weights.tolist() == [weighted_weight(r, m) for r in rows]
-    assert (weights.dtype == np.int64) == (sum(m) < 2**63)  # else Python integers
+
+
+def _wide_profile(kind, n, data):
+    """A profile whose N sits at a target near 2^63 (the last m_i makes up
+    the rest), whose limb sums carry, or whose m_i repeat."""
+    w = 63 - n.bit_length()
+    if kind == "carry":  # every w-bit limb full, so n of them carry into the next
+        return [2 ** (w * data.draw(st.integers(1, 3))) - 1 - data.draw(st.integers(0, 3))
+                for _ in range(n)]
+    if kind == "repeated":  # equal and additive m_i: words of different supports collide
+        a, b = 2**63 - data.draw(st.integers(0, 2)), 2**64 + data.draw(st.integers(0, 2))
+        return data.draw(st.lists(st.sampled_from([a, b, a + b]), min_size=n, max_size=n))
+    target = {"below": 2**63 - 1, "at": 2**63, "above": 2**63 + 1, "paper": 2**64 - 1}[kind]
+    rest = data.draw(st.lists(st.integers(1, 2**60), min_size=n - 1, max_size=n - 1))
+    return [*rest, target - sum(rest)]
+
+
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(1, 3),
+    st.sampled_from(["below", "at", "above", "paper", "carry", "repeated"]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_wide_profile_spectra_match_the_reference(q, k, kind, data):
+    n = data.draw(st.integers(k, 8))
+    base = random_code(q, k, n, trial_rng(data.draw(st.integers(0, 2**16)), 0))
+    m = _wide_profile(kind, n, data)
+    code = LinearCode(field=base.field, generator=base.generator, multiplicities=tuple(m))
+    expected = reference.spectrum(code)
+    counts = weight_spectrum(code).counts
+    assert counts == expected and list(counts) == sorted(counts)
+    assert all(type(w) is int and type(c) is int for w, c in counts.items())
+    report = spectrum_report(code)
+    assert list(report["counts"].items()) == [(str(w), c) for w, c in expected.items()]
+    assert report["is_mws"] == reference.is_mws(code) == is_mws(code)
+    assert report["D"] == max(expected) and report["N"] == sum(m)
 
 
 @given(st.sampled_from([2, 3, 4, 5]), st.integers(1, 3))
